@@ -41,6 +41,11 @@ class ConvergenceAdvisory(RuntimeError):
     """A windowed quantity failed to converge within the allowed widening."""
 
 
+class CapturedMassExcess(ValueError):
+    """A density window captured more than unit probability (beyond the
+    quadrature slack), the signature of an unresolved slow arrival tail."""
+
+
 def momentum_grid(p_max: float, n: int) -> np.ndarray:
     """Offset symmetric grid p_j = -p_max + (j+½)Δp, Δp = 2p_max/n.
 
@@ -176,7 +181,7 @@ class ArrivalDistribution:
             raise ValueError("density must equal right_part + left_part")
         mass = float(np.trapezoid(den, t))
         if mass > 1.0 + _MASS_EXCESS:
-            raise ValueError(f"captured mass {mass:.8f} exceeds unity")
+            raise CapturedMassExcess(f"captured mass {mass:.8f} exceeds unity")
         for a in (t, den, rp, lp):
             a.flags.writeable = False
         object.__setattr__(self, "t", t)
@@ -288,9 +293,7 @@ def converged_density(state: MomentumState, t_center: float | None = None,
         t = t_center - w + dt * np.arange(n + 1)
         try:
             dist = kijowski_density(state, t, x_arrival=x_arrival)
-        except ValueError as exc:
-            if "exceeds unity" not in str(exc):
-                raise
+        except CapturedMassExcess as exc:
             raise ConvergenceAdvisory(
                 "window widening drove the captured mass past unity; the "
                 "state carries weight near p = 0 whose slow arrival tail "

@@ -112,7 +112,8 @@ SCHEMAS: dict[str, dict[str, Param]] = {
         "system": Param("choice:twostate|line", "twostate",
                         "which propagator split to refine"),
         "ladder": Param("int_list", [51, 101, 201],
-                        "quadrature node counts, comma separated"),
+                        "quadrature node counts, comma separated "
+                        "(default 51,101,201 twostate, 100,200,400 line)"),
         "omega": Param("float", 1.0, "two-level drive frequency"),
         "t": Param("float", math.pi / 2, "evolution time"),
         "n_zeno": Param("int", 100_000, "slices for finite-n products"),
@@ -152,6 +153,11 @@ SCHEMAS: dict[str, dict[str, Param]] = {
                            "detector resolution; 0 disables the smeared column"),
     },
 }
+
+
+# pdx-verify's ladder for the line system: its θ-grid needs even interval
+# counts, where the two-state Simpson default (51,101,201) needs odd ones.
+LINE_LADDER = [100, 200, 400]
 
 
 def _parse_value(kind: str, text: str):
@@ -215,6 +221,9 @@ class RunConfig:
                               f"{', '.join(sorted(unknown))}")
         merged = {k: p.default for k, p in schema.items()}
         merged.update(self.params)
+        if (self.command == "pdx-verify" and merged["system"] == "line"
+                and "ladder" not in self.params):
+            merged["ladder"] = list(LINE_LADDER)
         object.__setattr__(self, "params", merged)
 
     def metadata(self) -> dict[str, str]:

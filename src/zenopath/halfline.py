@@ -4,9 +4,14 @@ The half-line Hamiltonian family is parametrised by the Robin condition
 ψ(0) = β ψ'(0), with β = 0 the hard (Dirichlet) wall, β = NEUMANN the
 reflecting (Neumann) wall, and β < 0 supporting the single bound state
 exp(x/β) at energy -ħ²/(2mβ²).  The restricted propagator is realised
-directly as exp(-iH_β t/ħ) on a finite grid; for the two parity walls an
-independent image-method realisation (parity extension plus exact spectral
-evolution) is provided as well.
+by the method of images for the two parity walls (odd or even extension
+plus exact spectral evolution) and, for every finite β ≠ 0, by
+intertwining (Clark, Menikoff & Sharp, Phys. Rev. D 22, 3012 (1980)):
+D = 1 - β∂ₓ maps Robin-wall states to hard-wall states and commutes with
+the free Hamiltonian, so U_r^β(t) = D⁻¹ U_r^0(t) D, with the bound state
+exp(x/β) (β < 0), which D annihilates, carried by its own phase.  These two
+routes are the production ones (`production_route`).  The eigendecomposition
+of the finite-difference H_β (method="eig") stays as an independent oracle.
 
 The propagator split on the line reads, for ψ supported in x ≥ 0,
 
@@ -25,11 +30,10 @@ Natural units m = ħ = 1 by default; both are keywords or system fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .qcore import DomainError
 
@@ -312,10 +316,17 @@ def _halfline_tridiag(sys: HalfLineSystem) -> tuple[np.ndarray, np.ndarray]:
     return diag, off
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2)
 def halfline_eigensystem(sys: HalfLineSystem) -> tuple[np.ndarray, np.ndarray]:
     """Cached eigenpairs of the discrete H_β.  Safe under concurrent readers:
-    population is idempotent and the arrays are frozen read-only."""
+    population is idempotent and the arrays are frozen read-only.
+
+    O(n³) time and 8·n(n+1) bytes per system; the cache keeps the two most
+    recent systems, at most 16·n(n+1) bytes: 67 MB at n = 2048, 1.07 GB at
+    n = 8192.  Only method="eig" and oracles use it.
+    """
+    import scipy.linalg     # deferred: the only scipy use, off the import path
+
     diag, off = _halfline_tridiag(sys)
     evals, evecs = scipy.linalg.eigh_tridiagonal(diag, off)
     evals.flags.writeable = False
@@ -366,15 +377,137 @@ def image_method_propagate(psi_half: WaveFunction, sys: HalfLineSystem,
     return WaveFunction(sys.half_grid(), out.samples[sys.n:])
 
 
+def _linear_scan(u: np.ndarray, c: float) -> np.ndarray:
+    """y_j = c·y_{j-1} + u_j from y_{-1} = 0, for |c| < 1, by recursive
+    doubling: ⌈log₂ n⌉ vector passes instead of a Python loop over nodes."""
+    y = np.array(u, dtype=complex)
+    p, shift = c, 1
+    while shift < y.size and p != 0.0:
+        y[shift:] += p * y[:-shift]
+        p, shift = p * p, 2 * shift
+    return y
+
+
+def _intertwine_cell(sys: HalfLineSystem) -> tuple[float, float, float]:
+    """(e, α, γ) of one cell of ψ' = (ψ - g)/β with g linear on the cell,
+    integrated exactly in the stable march direction (toward the wall for
+    β > 0, away from it for β < 0): ψ_new = e·ψ_old + α g_new - γ g_old,
+    e = e^{-dx/|β|} ≤ 1.  The recursions below need |γ/α| < 1, which holds
+    for every β ≠ 0."""
+    step = -sys.dx / abs(sys.beta)
+    e = float(np.exp(step))
+    ratio = float(np.expm1(step) / step)
+    return e, 1.0 - ratio, e - ratio
+
+
+def _march_order(sys: HalfLineSystem) -> slice:
+    """Node order of the stable march: from x = L inward for β > 0."""
+    return slice(None, None, -1) if sys.beta > 0 else slice(None)
+
+
+def _bound_projector(sys: HalfLineSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Bound profile e_j = e^{x_j/β} (β < 0) and the row vector giving its
+    coefficient c = proj @ ψ in the half-cell-weighted inner product."""
+    e = np.exp(sys.x / sys.beta)
+    w = e.copy()
+    w[0] *= 0.5
+    return e, w / np.dot(w, e)
+
+
+def _to_dirichlet(h: np.ndarray, sys: HalfLineSystem) -> np.ndarray:
+    """g = D_h ψ, the exact algebraic inverse of `_from_dirichlet`.
+
+    Node 0 of g is the wall null mode the hard-wall route leaves alone: for
+    β > 0 the cell relation's wall residual (the continuum g(0) = 0), for
+    β < 0 the coefficient of the bound state, which D annihilates.
+    """
+    e, alpha, gamma = _intertwine_cell(sys)
+    psi = h[_march_order(sys)]
+    v = psi / alpha
+    v[1:] -= (e / alpha) * psi[:-1]
+    if sys.beta < 0:
+        v[0] = 0.0                      # ψ_0 is free; g_0 carries it below
+    g = _linear_scan(v, gamma / alpha)[_march_order(sys)]
+    if sys.beta < 0:
+        g[0] = _bound_projector(sys)[1] @ h
+    return g
+
+
+def _from_dirichlet(g: np.ndarray, sys: HalfLineSystem) -> np.ndarray:
+    """ψ = D_h⁻¹ g by the exponential march of ψ' = (ψ - g)/β, g linear per
+    cell: toward the wall from ψ(L) = 0 for β > 0, away from it for β < 0,
+    where the free multiple of e^{x/β} is set so that the bound-state
+    coefficient of ψ equals g_0."""
+    e, alpha, gamma = _intertwine_cell(sys)
+    src = g[_march_order(sys)].copy()
+    if sys.beta < 0:
+        src[0] = 0.0                    # march from ψ_0 = 0; bound state below
+    u = alpha * src
+    u[1:] -= gamma * src[:-1]
+    psi = _linear_scan(u, e)[_march_order(sys)]
+    if sys.beta < 0:
+        bound, proj = _bound_projector(sys)
+        psi += (g[0] - proj @ psi) * bound
+    return psi
+
+
+def _null_phase(sys: HalfLineSystem, t) -> np.ndarray | float:
+    """Evolution of g_0: the bound state's e^{iħt/2mβ²} for β < 0, none for
+    β > 0, where g_0 is a wall residual and not a state."""
+    if sys.beta > 0:
+        return 1.0
+    return np.exp(1j * sys.hbar * np.asarray(t) / (2 * sys.mass * sys.beta ** 2))
+
+
+def _intertwine_propagate(h: np.ndarray, sys: HalfLineSystem, t: float) -> np.ndarray:
+    """U_r^β(t)ψ = D_h⁻¹ U_r^0(t) D_h ψ, any sign of t, O(n log n)."""
+    g = _to_dirichlet(h, sys)
+    hard = replace(sys, beta=0.0)
+    out = image_method_propagate(WaveFunction(hard.half_grid(), g), hard,
+                                 t).samples
+    out[0] = g[0] * _null_phase(sys, t)
+    return _from_dirichlet(out, sys)
+
+
+def _wall_functional(sys: HalfLineSystem) -> np.ndarray:
+    """Row vector ℓ with (D_h⁻¹ g)(0) = ℓ @ g, read off `_from_dirichlet`."""
+    e, alpha, gamma = _intertwine_cell(sys)
+    if sys.beta > 0:
+        # the wall is the march's last node: ψ_0 = Σ_j e^j (α g_j - γ g_{j+1})
+        decay = np.exp(-sys.x / sys.beta)
+        ell = alpha * decay
+        ell[1:] -= gamma * decay[:-1]
+        return ell
+    # ψ_0 = g_0 - proj @ part, and proj @ part = Σ_k u_k T_k with
+    # T_k = Σ_{j≥k} proj_j e^{j-k}, u_k = α g_k - γ g_{k-1} (k ≥ 1)
+    tail = _linear_scan(_bound_projector(sys)[1][::-1], e)[::-1].real
+    ell = np.empty(sys.n)
+    ell[0] = 1.0
+    ell[1:] = -alpha * tail[1:]
+    ell[1:-1] += gamma * tail[2:]
+    return ell
+
+
+def production_route(sys: HalfLineSystem) -> str:
+    """The route production code takes: images for the parity walls,
+    intertwine for every other wall."""
+    return "images" if (sys.is_dirichlet or sys.is_neumann) else "intertwine"
+
+
 def restricted_propagate(psi_half: WaveFunction, sys: HalfLineSystem, t: float,
                          method: str = "eig",
                          reverse: bool = False) -> WaveFunction:
     """U_r^β(t) ψ = exp(-iH_β t/ħ) ψ on [0, L].
 
-    method="eig" uses the eigendecomposition of the discrete H_β (every β);
+    method="eig" uses the eigendecomposition of the discrete H_β (every β;
+    O(n³) once per system, then O(n²), and it conserves the half-cell-weighted
+    norm exactly); it is kept as the oracle for the other two.
     method="images" uses the parity extension (β = 0 and NEUMANN only).
+    method="intertwine" (finite β ≠ 0) maps ψ to the hard wall with D_h,
+    evolves by images and maps back; spectral in time, O(dx²) from D_h,
+    exactly the identity at t = 0 and exactly reversible.
     Forward evolution only; set reverse=True for the documented time-reversed
-    branch exp(+iH_β t/ħ).  Conserves the half-cell-weighted norm exactly.
+    branch exp(+iH_β t/ħ).
     """
     if t < 0:
         raise ValueError("t must be >= 0; use reverse=True for backward evolution")
@@ -383,9 +516,15 @@ def restricted_propagate(psi_half: WaveFunction, sys: HalfLineSystem, t: float,
     t_eff = -t if reverse else t
     if method == "images":
         return image_method_propagate(psi_half, sys, t_eff)
-    if method != "eig":
+    if method == "intertwine":
+        if sys.is_dirichlet or sys.is_neumann:
+            raise ValueError("intertwine needs a finite beta != 0; "
+                             "the parity walls take method='images'")
+        out = _intertwine_propagate(psi_half.samples, sys, t_eff)
+    elif method == "eig":
+        out = _propagate_half_samples(psi_half.samples, sys, t_eff)
+    else:
         raise ValueError(f"unknown method {method!r}")
-    out = _propagate_half_samples(psi_half.samples, sys, t_eff)
     return WaveFunction(sys.half_grid(), out)
 
 
@@ -529,8 +668,8 @@ def line_pdx_terms(psi: WaveFunction, sys: HalfLineSystem, t: float,
     evolved = np.fft.ifft(spec0 * np.exp(-1j * hbar * k ** 2 * t / (2 * mass)))
     restricted = np.zeros(g.n, dtype=complex)
     half = WaveFunction(sys.half_grid(), samples[n:])
-    method = "eig" if not (sys.is_dirichlet or sys.is_neumann) else "images"
-    restricted[n:] = restricted_propagate(half, sys, t, method=method).samples
+    restricted[n:] = restricted_propagate(half, sys, t,
+                                          method=production_route(sys)).samples
 
     return LinePdxParts(evolved=evolved, crossing=crossing,
                         restricted=restricted, k_cut=k_cut,
@@ -551,33 +690,38 @@ def _wall_data(h0: np.ndarray, sys: HalfLineSystem,
                s_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Wall value a(s) and derivative b(s) of U_r^β(s)ψ at each quadrature node.
 
+    Every node's state is an image evolution (of ψ, or of g = D_h ψ), read at
+    the wall through one fixed weight vector in the grid's momentum basis.
     Parity walls: the extension is smooth through x = 0, so the derivative is
-    taken spectrally (exact for the grid).  Finite β: eigenfunction route with
-    the one-sided stencil consistent with the Robin condition.
+    taken spectrally (exact for the grid).  Finite β: the intertwined state
+    g = D_h ψ evolves by odd images, ψ_s(0) = ℓ @ g_s is the march's wall
+    value (`_wall_functional`) and b(s) = a(s)/β.
     """
     n = sys.n
-    if sys.is_dirichlet or sys.is_neumann:
+    robin = not (sys.is_dirichlet or sys.is_neumann)
+    if robin:
+        g = _to_dirichlet(h0, sys)
+        f = _image_extension(g, replace(sys, beta=0.0))
+    else:
         f = _image_extension(h0, sys)
-        k = 2 * np.pi * np.fft.fftfreq(2 * n, sys.dx)
-        spec = np.fft.fft(f)
-        e0 = np.exp(2j * np.pi * np.arange(2 * n) * n / (2 * n))  # value at x=0
-        disp = np.exp(-1j * sys.hbar * np.outer(s_nodes, k ** 2) / (2 * sys.mass))
-        if sys.is_dirichlet:
-            a = np.zeros(len(s_nodes), dtype=complex)
-            b = (disp * (1j * k * spec)) @ e0 / (2 * n)
-        else:
-            a = (disp * spec) @ e0 / (2 * n)
-            b = np.zeros(len(s_nodes), dtype=complex)
-        return a, b
-    evals, evecs = halfline_eigensystem(sys)
-    phi = h0.astype(complex).copy()
-    phi[0] /= np.sqrt(2.0)
-    c = evecs.T @ phi
-    phases = np.exp(-1j * np.outer(s_nodes, evals) / sys.hbar)
-    head = (phases * c) @ evecs[:3, :].T          # φ at the first three nodes
-    psi0 = np.sqrt(2.0) * head[:, 0]
-    b = (-3.0 * psi0 + 4.0 * head[:, 1] - head[:, 2]) / (2 * sys.dx)
-    return sys.beta * b, b
+    k = 2 * np.pi * np.fft.fftfreq(2 * n, sys.dx)
+    spec = np.fft.fft(f)
+    disp = np.exp(-1j * sys.hbar * np.outer(s_nodes, k ** 2) / (2 * sys.mass))
+    if robin:
+        ell = _wall_functional(sys)
+        probe = np.zeros(2 * n)
+        probe[n + 1:] = ell[1:]
+        a = (disp * spec) @ np.fft.ifft(probe)
+        a += ell[0] * g[0] * _null_phase(sys, s_nodes)
+        return a, a / sys.beta
+    e0 = np.exp(2j * np.pi * np.arange(2 * n) * n / (2 * n))  # value at x=0
+    if sys.is_dirichlet:
+        a = np.zeros(len(s_nodes), dtype=complex)
+        b = (disp * (1j * k * spec)) @ e0 / (2 * n)
+    else:
+        a = (disp * spec) @ e0 / (2 * n)
+        b = np.zeros(len(s_nodes), dtype=complex)
+    return a, b
 
 
 def line_pdx_residual(psi: WaveFunction, sys: HalfLineSystem, t: float,

@@ -39,6 +39,7 @@ from .halfline import (
     HalfLineSystem,
     SpatialGrid,
     WaveFunction,
+    production_route,
     restricted_propagate,
     spectral_evolve_line,
     to_momentum,
@@ -120,10 +121,6 @@ def _split_context(psi: WaveFunction, beta, mass: float, hbar: float):
     return g, n, right, left
 
 
-def _half_route(sys: HalfLineSystem) -> str:
-    return "images" if (sys.is_dirichlet or sys.is_neumann) else "eig"
-
-
 def direct_sum_evolve(psi: WaveFunction, pair: HistoryPair,
                       mass: float = 1.0, hbar: float = 1.0) -> WaveFunction:
     """[U_r^β(t)(θψ)] ⊕ [U_r^{β,L}(t)((1-θ)ψ)] reassembled on the full grid.
@@ -136,13 +133,14 @@ def direct_sum_evolve(psi: WaveFunction, pair: HistoryPair,
 
     h_right = s[n:].copy()
     r_out = restricted_propagate(WaveFunction(right.half_grid(), h_right),
-                                 right, pair.t, method=_half_route(right))
+                                 right, pair.t,
+                                 method=production_route(right))
 
     h_left = np.empty(n, dtype=complex)
     h_left[0] = s[n]                     # boundary limit of the continuous state
     h_left[1:] = s[1:n][::-1]            # u = -x, outward coordinate
     l_out = restricted_propagate(WaveFunction(left.half_grid(), h_left),
-                                 left, pair.t, method=_half_route(left))
+                                 left, pair.t, method=production_route(left))
 
     out = np.zeros(g.n, dtype=complex)
     out[n:] = r_out.samples

@@ -23,6 +23,8 @@ the module test suites pin the sharper figures.
     mean, time-translation covariance, flux agreement
  9. obstruction to a conjugate-time operator in finite dimension
 10. byte-identical CSV output for every command line entry point
+11. finite-β walls by intertwining against the eigensystem route across
+    both signs of β: sup gap, its second-order convergence, norm
 """
 
 import subprocess
@@ -294,3 +296,28 @@ def test_10_cli_byte_determinism(tmp_path):
         assert outs[0] == outs[1], command
     report("CLI byte determinism", f"{len(cases)} commands, two runs each",
            start, 60.0)
+
+
+def test_11_intertwined_robin_walls_against_eigensystem():
+    start = time.perf_counter()
+    worst_gap = worst_drift = 0.0
+    worst_ratio = np.inf
+    for beta in (-1.5, -0.4, 0.7, 13.0):
+        gaps = []
+        for n in (1024, 2048):
+            wall = HalfLineSystem(L=28.0, n=n, beta=beta)
+            w = half_packet(wall, 10.0, -0.75, 1.45)
+            fast = restricted_propagate(w, wall, 9.0, method="intertwine")
+            oracle = restricted_propagate(w, wall, 9.0, method="eig")
+            gaps.append(np.max(np.abs(fast.samples - oracle.samples)))
+        # the gap is the eigensystem route's dx² dispersion error
+        assert gaps[1] <= 2.5e-4, beta
+        assert gaps[0] / gaps[1] >= 3.5, beta
+        drift = abs(halfline_norm(fast.samples, wall) - 1.0)
+        assert drift <= 1e-5, beta
+        worst_gap = max(worst_gap, gaps[1])
+        worst_ratio = min(worst_ratio, gaps[0] / gaps[1])
+        worst_drift = max(worst_drift, drift)
+    report("intertwined Robin walls vs eigensystem",
+           f"sup gap {worst_gap:.1e}, refinement ratio >= {worst_ratio:.1f}, "
+           f"norm drift {worst_drift:.1e}", start, 30.0)

@@ -20,6 +20,7 @@ import pytest
 
 from zenopath.arrival import (
     ArrivalDistribution,
+    CapturedMassExcess,
     ConvergenceAdvisory,
     MomentumState,
     arrival_moments,
@@ -159,6 +160,12 @@ class TestArrivalDistributionType:
         big = np.array([2.0, 2.0, 2.0])
         with pytest.raises(ValueError, match="exceeds unity"):
             self.build(big, big, np.zeros(3))
+
+    def test_excess_mass_has_its_own_type(self):
+        big = np.array([2.0, 2.0, 2.0])
+        with pytest.raises(CapturedMassExcess, match="exceeds unity"):
+            self.build(big, big, np.zeros(3))
+        assert issubclass(CapturedMassExcess, ValueError)
 
     def test_nonuniform_time_rejected(self):
         d = np.array([0.1, 0.1, 0.1])
@@ -342,8 +349,9 @@ class TestConvergedDensity:
         # window this momentum grid can support
         st = gaussian_momentum_state(momentum_grid(10.0, 1024),
                                      p0=1.0, x0=-20.0, sigma_p=0.35)
-        with pytest.raises(ConvergenceAdvisory, match="p = 0"):
+        with pytest.raises(ConvergenceAdvisory, match="p = 0") as info:
             converged_density(st)
+        assert isinstance(info.value.__cause__, CapturedMassExcess)
 
 
 class TestSmearedDensity:

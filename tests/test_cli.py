@@ -121,6 +121,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="format"):
             RunConfig("twostate", {}, fmt="xml")
 
+    def test_ladder_default_follows_system(self):
+        assert RunConfig("pdx-verify", {}).params["ladder"] == [51, 101, 201]
+        line = RunConfig("pdx-verify", {"system": "line"})
+        assert line.params["ladder"] == [100, 200, 400]
+        assert line.metadata()["ladder"] == "100,200,400"
+        given = RunConfig("pdx-verify", {"system": "line", "ladder": [60, 120]})
+        assert given.params["ladder"] == [60, 120]
+
     def test_metadata_order_and_strings(self):
         meta = RunConfig("zeno-converge", {}, seed=3).metadata()
         assert list(meta) == ["version", "command", "omega", "t", "n_list",
@@ -467,6 +475,13 @@ class TestDeterminism:
 
 
 class TestResolutionAndLayout:
+    @pytest.mark.parametrize("args", [(cmd,) for cmd in SCHEMAS]
+                             + [("pdx-verify", "--system", "line")])
+    def test_every_command_runs_on_its_defaults(self, args, tmp_path):
+        proc = run_cli(*args, cwd=str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / f"{args[0]}.csv").exists()
+
     def test_flag_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("t=1.0\nn_list=2,4\n")
@@ -484,6 +499,21 @@ class TestResolutionAndLayout:
                        "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert read_table(out)[0]["seed"] == "7"
+
+    def test_finite_beta_runs_never_import_scipy(self):
+        # scipy serves only the eigensystem oracle; production stays on numpy
+        code = (
+            "import sys, zenopath, zenopath.cli as cli\n"
+            "cli.DISPATCH['histories'](cli.RunConfig('histories', "
+            "{'beta': 0.7, 'n_t': 2, 'n_grid': 1024}))\n"
+            "cli.DISPATCH['pdx-verify'](cli.RunConfig('pdx-verify', "
+            "{'system': 'line', 'beta': -0.8, 'n_grid': 512, "
+            "'ladder': [40]}))\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "assert 'scipy' not in sys.modules, loaded\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
 
     def test_default_output_lands_in_cwd(self, tmp_path):
         proc = run_cli("zeno-converge", "--n-list", "2", cwd=str(tmp_path))

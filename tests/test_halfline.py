@@ -9,6 +9,8 @@ Oracles used here:
     E=-ħ²/2mβ², Neumann cosine ground profile
   * method-of-images propagation as an independent route to U_r for the
     two parity walls
+  * the eigensystem route as the oracle for the intertwined route at
+    finite β, with a plain loop as the reference for its linear scan
   * parity identities making the crossing term computable exactly from two
     full-line spectral evolutions (odd state at the hard wall, even state
     at the reflecting wall)
@@ -34,12 +36,14 @@ from zenopath.halfline import (
     line_pdx_residual,
     line_pdx_terms,
     phq_nonzero_check,
+    production_route,
     restricted_propagate,
     spectral_evolve_line,
     to_momentum,
     to_position,
     wall_flux,
 )
+from zenopath.halfline import _linear_scan, _wall_data
 from zenopath.qcore import DomainError
 
 
@@ -431,6 +435,93 @@ class TestRestrictedPropagate:
             w = half_packet(s, 6.0, -1.5, 2.0, pin_wall=(beta == 0.0))
             out = restricted_propagate(w, s, 4.0)
             assert abs(wall_flux(out, s)) < 1e-8
+
+
+class TestIntertwinedRoute:
+    def test_linear_scan_matches_loop(self):
+        rng = np.random.default_rng(2)
+        u = rng.normal(size=300) + 1j * rng.normal(size=300)
+        for c in (0.999, -0.97, 0.3, 1e-200):
+            ref = np.empty_like(u)
+            acc = 0.0
+            for j, v in enumerate(u):
+                acc = c * acc + v
+                ref[j] = acc
+            np.testing.assert_allclose(_linear_scan(u, c), ref,
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_identity_at_t0_both_signs(self):
+        for beta in (0.7, -1.0):
+            s = HalfLineSystem(L=40.0, n=1024, beta=beta)
+            w = half_packet(s, 6.0, -1.5, 2.0)
+            out = restricted_propagate(w, s, 0.0, method="intertwine")
+            assert np.max(np.abs(out.samples - w.samples)) <= 1e-12, beta
+
+    def test_reverse_round_trip_both_signs(self):
+        for beta in (0.7, -0.6):
+            s = HalfLineSystem(L=40.0, n=1024, beta=beta)
+            w = half_packet(s, 8.0, -1.0, 2.0)
+            fwd = restricted_propagate(w, s, 3.0, method="intertwine")
+            back = restricted_propagate(fwd, s, 3.0, method="intertwine",
+                                        reverse=True)
+            assert np.max(np.abs(back.samples - w.samples)) <= 1e-12, beta
+
+    def test_bound_state_overlap_keeps_its_modulus(self):
+        s = HalfLineSystem(L=40.0, n=2048, beta=-1.0)
+        bound = np.exp(-s.x)
+        bound /= halfline_norm(bound, s)
+        w = half_packet(s, 6.0, -1.5, 2.0)
+        mixed = WaveFunction(s.half_grid(), w.samples + 0.5 * bound)
+        weight = np.full(s.n, s.dx)
+        weight[0] *= 0.5
+
+        def overlap(h):
+            return np.sum(weight * bound * h)
+
+        for t in (0.0, 1.3, 4.0):
+            out = restricted_propagate(mixed, s, t, method="intertwine")
+            assert abs(abs(overlap(out.samples)) - abs(overlap(mixed.samples))) \
+                <= 1e-12
+        # the bound state alone only turns its phase, e^{-iE₀t}, E₀ = -1/2
+        alone = restricted_propagate(WaveFunction(s.half_grid(), bound), s,
+                                     4.0, method="intertwine")
+        np.testing.assert_allclose(alone.samples, np.exp(2j) * bound,
+                                   atol=1e-12)
+
+    def test_wall_data_matches_per_node_propagation(self):
+        s_nodes = np.linspace(0.0, 4.0, 9)
+        for beta in (0.7, -1.3):
+            s = HalfLineSystem(L=40.0, n=1024, beta=beta)
+            w = half_packet(s, 5.0, -1.5, 1.2)
+            a, b = _wall_data(w.samples, s, s_nodes)
+            per_node = np.array([
+                restricted_propagate(w, s, float(t),
+                                     method="intertwine").samples[0]
+                for t in s_nodes])
+            assert np.max(np.abs(per_node)) > 0.05       # the wall is reached
+            assert np.max(np.abs(a - per_node)) <= 1e-12, beta
+            np.testing.assert_allclose(a, beta * b, atol=1e-14)
+
+    def test_tiny_beta_approaches_the_hard_wall(self):
+        # dx/|β| ~ 4e5: the cell factors must neither overflow nor divide
+        # by zero, and D → 1 leaves the hard-wall evolution
+        hard = HalfLineSystem(L=40.0, n=1024, beta=0.0)
+        w = half_packet(hard, 6.0, -1.5, 2.0, pin_wall=True)
+        ref = restricted_propagate(w, hard, 4.0, method="images").samples
+        for beta in (1e-7, -1e-7):
+            s = HalfLineSystem(L=40.0, n=1024, beta=beta)
+            out = restricted_propagate(w, s, 4.0, method="intertwine")
+            assert np.max(np.abs(out.samples - ref)) <= 1e-6, beta
+
+    def test_production_route_and_parity_walls(self):
+        assert production_route(HalfLineSystem(10.0, 64, 0.0)) == "images"
+        assert production_route(HalfLineSystem(10.0, 64, NEUMANN)) == "images"
+        assert production_route(HalfLineSystem(10.0, 64, -0.3)) == "intertwine"
+        for beta in (0.0, NEUMANN):
+            s = HalfLineSystem(L=40.0, n=512, beta=beta)
+            w = half_packet(s, 10.0, -1.0, 2.0, pin_wall=True)
+            with pytest.raises(ValueError, match="intertwine"):
+                restricted_propagate(w, s, 1.0, method="intertwine")
 
 
 class TestGridZeno:
