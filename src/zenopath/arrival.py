@@ -280,6 +280,9 @@ def converged_density(state: MomentumState, t_center: float | None = None,
     mass changes by less than tol between rounds.  With t_center omitted it
     is estimated from the classical flight time (x_a - ⟨x⟩)·m/⟨p⟩.
     """
+    for name, value in (("half_width", half_width), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if t_center is None:
         pbar = state.mean_momentum()
         if abs(pbar) < 1e-9:

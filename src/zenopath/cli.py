@@ -58,15 +58,8 @@ from .halfline import (
     WaveFunction,
     gaussian_packet,
     line_pdx_residual,
-    spectral_evolve_line,
 )
-from .histories import (
-    ConsistencyVerdict,
-    HistoryPair,
-    boundary_condition_residuals,
-    class_amplitudes,
-    direct_sum_evolve,
-)
+from .histories import HistoryPair, history_row
 from .qcore import (
     DecoherenceMatrix,
     DomainError,
@@ -298,19 +291,14 @@ def _ordered_map(fn: Callable, items, parallel: bool) -> list:
         return list(pool.map(fn, items))
 
 
-def _entry_rows(name: str, value: np.ndarray, target: np.ndarray):
-    rows = []
-    for i in range(value.shape[0]):
-        for j in range(value.shape[1]):
-            v, w = complex(value[i, j]), complex(target[i, j])
-            rows.append((f"{name}{i}{j}", v.real, v.imag, w.real, w.imag,
-                         abs(v - w)))
-    return rows
-
-
 def _scalar_row(name: str, value: complex, target: complex):
     v, w = complex(value), complex(target)
     return (name, v.real, v.imag, w.real, w.imag, abs(v - w))
+
+
+def _entry_rows(name: str, value: np.ndarray, target: np.ndarray):
+    return [_scalar_row(f"{name}{i}{j}", value[i, j], target[i, j])
+            for i in range(value.shape[0]) for j in range(value.shape[1])]
 
 
 def cmd_twostate(cfg: RunConfig) -> ResultTable:
@@ -342,12 +330,8 @@ def cmd_twostate(cfg: RunConfig) -> ResultTable:
 
     # decoherence entries through the generator-form restricted propagator
     u_r = restricted_limit(ham, proj_down, t)
-    c1 = u.mat.conj().T @ u_r.mat
-    c2 = np.eye(2) - c1
-    rho = proj_down.mat
-    d = np.array([[np.trace(a @ rho @ b.conj().T) for b in (c1, c2)]
-                  for a in (c1, c2)])
-    dm = DecoherenceMatrix(d)
+    dm = DecoherenceMatrix.from_class_operator(u.mat.conj().T @ u_r.mat,
+                                               proj_down)
     d11_c, d22_c, d12_c = sys_.decoherence_closed(t)
     rows.append(_scalar_row("d11", dm.d[0, 0], d11_c))
     rows.append(_scalar_row("d22", dm.d[1, 1], d22_c))
@@ -446,19 +430,11 @@ def cmd_histories(cfg: RunConfig) -> ResultTable:
     t_values = np.linspace(p["t_min"], p["t_max"], p["n_t"])
 
     def one(t: float):
-        pair = HistoryPair(t=float(t), beta=beta)
-        split = class_amplitudes(psi, pair)
-        dm = DecoherenceMatrix(np.array(
-            [[split.c1.inner(split.c1), split.c2.inner(split.c1)],
-             [np.conj(split.c2.inner(split.c1)), split.c2.inner(split.c2)]]))
-        v = ConsistencyVerdict.from_matrix(dm, p["tol"])
-        evolved = spectral_evolve_line(psi, float(t))
-        summed = direct_sum_evolve(psi, pair)
-        dist = float(np.max(np.abs(evolved.samples - summed.samples)))
-        rp, rm = boundary_condition_residuals(evolved, beta)
-        return (float(t), v.p_same, v.p_cross, v.re_d12, v.im_d12,
-                v.consistent, float(rp), float(rm), dist,
-                split.grid_warning)
+        row = history_row(psi, HistoryPair(t=float(t), beta=beta), p["tol"])
+        v = row.verdict
+        return (row.t, v.p_same, v.p_cross, v.re_d12, v.im_d12,
+                v.consistent, float(row.r_plus), float(row.r_minus),
+                row.directsum_distance, row.grid_warning)
 
     rows = _ordered_map(one, t_values, cfg.parallel)
     cols = ("t", "p_same", "p_cross", "re_d12", "im_d12", "consistent",

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import DomainError
+from .qcore import DomainError, simpson_weights
 
 NEUMANN = "neumann"
 
@@ -608,8 +608,8 @@ def line_pdx_terms(psi: WaveFunction, sys: HalfLineSystem, t: float,
     k_cut defaults to the largest wavenumber the θ grid resolves
     (phase step ≤ 0.4 rad); pass a value to override.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError(f"t must be positive and finite, got {t}")
     if n_quad < 2 or n_quad % 2:
         raise ValueError(f"n_quad must be even and >= 2, got {n_quad}")
     if psi.representation != "position" or psi.grid != sys.full_grid():
@@ -633,11 +633,7 @@ def line_pdx_terms(psi: WaveFunction, sys: HalfLineSystem, t: float,
 
     theta = np.linspace(0.0, np.pi / 2, n_quad + 1)
     u = np.sqrt(t) * np.sin(theta)
-    dth = theta[1] - theta[0]
-    w_simp = np.ones(n_quad + 1)
-    w_simp[1:-1:2] = 4.0
-    w_simp[2:-1:2] = 2.0
-    w_simp *= dth / 3.0
+    w_simp = simpson_weights(n_quad + 1, theta[1] - theta[0])
     wj = w_simp * t * np.sin(2 * theta)    # ds = t·sin2θ dθ under s = t·cos²θ
     s_nodes = t - u ** 2
 

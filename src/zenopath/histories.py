@@ -46,8 +46,6 @@ from .halfline import (
 )
 from .qcore import DecoherenceMatrix
 
-_CONSISTENCY_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class HistoryPair:
@@ -59,8 +57,8 @@ class HistoryPair:
     label_cross: str = "crosses x=0"
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise ValueError(f"t must be finite and >= 0, got {self.t}")
         if isinstance(self.beta, str) and self.beta != NEUMANN:
             raise ValueError(f"string beta must be {NEUMANN!r}, got {self.beta!r}")
 
@@ -69,9 +67,9 @@ class HistoryPair:
 class ConsistencyVerdict:
     """Probability assignment for the pair plus its interference diagnostics.
 
-    consistent ⇔ |Re d(1,2)| ≤ tol · max(p_same, p_cross, floor); the
-    imaginary part is reported but not gated (the failure signal for a
-    probability sum rule is the real part).
+    consistent is DecoherenceMatrix.is_consistent(tol); the imaginary part
+    is reported but not gated (the failure signal for a probability sum
+    rule is the real part).
     """
 
     p_same: float
@@ -83,11 +81,9 @@ class ConsistencyVerdict:
 
     @classmethod
     def from_matrix(cls, dm: DecoherenceMatrix, tol: float) -> "ConsistencyVerdict":
-        scale = max(dm.d11.real, dm.d22.real, _CONSISTENCY_FLOOR)
-        ok = abs(dm.d12.real) <= tol * scale
-        return cls(p_same=float(dm.d11.real), p_cross=float(dm.d22.real),
-                   re_d12=float(dm.d12.real), im_d12=float(dm.d12.imag),
-                   tol=tol, consistent=bool(ok))
+        return cls(p_same=dm.d11, p_cross=dm.d22,
+                   re_d12=dm.d12.real, im_d12=dm.d12.imag,
+                   tol=tol, consistent=dm.is_consistent(tol))
 
     def sum_rule_residual(self) -> float:
         return abs(self.p_same + self.p_cross + 2 * self.re_d12 - 1.0)
@@ -155,27 +151,34 @@ def class_amplitudes(psi: WaveFunction, pair: HistoryPair,
     grid_warning flags a cut too coarse for the state: the moduli at the two
     nodes adjacent to x = 0 differ by more than 20%.
     """
-    g = psi.grid
-    n = g.n // 2
     summed = direct_sum_evolve(psi, pair, mass=mass, hbar=hbar)
-    c1 = spectral_evolve_line(summed, -pair.t, mass=mass, hbar=hbar)
-    c2 = WaveFunction(g, psi.samples - c1.samples)
+    return _split_from_summed(psi, summed, pair.t, mass, hbar)
 
+
+def _split_from_summed(psi: WaveFunction, summed: WaveFunction, t: float,
+                       mass: float, hbar: float) -> ClassSplit:
+    """C₁ψ = U(-t)·summed, C₂ψ = ψ - C₁ψ, and the grid warning."""
+    n = psi.grid.n // 2
+    c1 = spectral_evolve_line(summed, -t, mass=mass, hbar=hbar)
+    c2 = WaveFunction(psi.grid, psi.samples - c1.samples)
     lo, hi = abs(psi.samples[n - 1]), abs(psi.samples[n + 1])
     ref = max(lo, hi)
     warning = bool(ref > 1e-12 and abs(hi - lo) > 0.2 * ref)
     return ClassSplit(c1=c1, c2=c2, grid_warning=warning)
 
 
+def _split_matrix(split: ClassSplit) -> DecoherenceMatrix:
+    """d(i,j) = ⟨C_jψ|C_iψ⟩ from the two amplitudes."""
+    c1, c2, _ = split
+    d12 = c2.inner(c1)                   # ⟨C₂ψ|C₁ψ⟩
+    return DecoherenceMatrix(np.array([[c1.inner(c1), d12],
+                                       [np.conj(d12), c2.inner(c2)]]))
+
+
 def decoherence_line(psi: WaveFunction, pair: HistoryPair,
                      mass: float = 1.0, hbar: float = 1.0) -> DecoherenceMatrix:
     """d(i,j) = ⟨C_jψ|C_iψ⟩ for the pure state ψ; labels ("stay", "cross")."""
-    c1, c2, _ = class_amplitudes(psi, pair, mass=mass, hbar=hbar)
-    d11 = c1.inner(c1)
-    d22 = c2.inner(c2)
-    d12 = c2.inner(c1)                   # ⟨C₂ψ|C₁ψ⟩
-    d = np.array([[d11, d12], [np.conj(d12), d22]])
-    return DecoherenceMatrix(d)
+    return _split_matrix(class_amplitudes(psi, pair, mass=mass, hbar=hbar))
 
 
 def consistency_verdict(psi: WaveFunction, pair: HistoryPair,
@@ -216,7 +219,8 @@ def reflection_safe_horizon(psi: WaveFunction, mass: float = 1.0,
 
 @dataclass(frozen=True)
 class BetaScanRow:
-    """One (β, t) cell of the wall-condition scan.
+    """One (β, t) cell, as `history_row` evaluates it for the wall-condition
+    scan and the `histories` command.
 
     r_plus/r_minus: |ψ_t(0) - βψ_t'(0±)| for the fully evolved state (the
     persistence residual of the wall condition; |ψ'| alone for the reflecting
@@ -270,6 +274,25 @@ def _flux_through_zero(psi: WaveFunction, mass: float, hbar: float) -> float:
     return float(hbar / mass * (np.conj(s[n]) * dpsi).imag)
 
 
+def history_row(psi: WaveFunction, pair: HistoryPair, tol: float = 1e-3,
+                mass: float = 1.0, hbar: float = 1.0) -> BetaScanRow:
+    """One (β, t) cell: the direct-sum evolution feeds both C₁ψ (verdict,
+    grid warning) and the distance to U(t)ψ (with its wall residuals and
+    flux through x = 0)."""
+    summed = direct_sum_evolve(psi, pair, mass=mass, hbar=hbar)
+    split = _split_from_summed(psi, summed, pair.t, mass, hbar)
+    evolved = spectral_evolve_line(psi, pair.t, mass=mass, hbar=hbar)
+    rp, rm = boundary_condition_residuals(evolved, pair.beta)
+    return BetaScanRow(
+        beta=pair.beta, t=pair.t,
+        verdict=ConsistencyVerdict.from_matrix(_split_matrix(split), tol),
+        r_plus=rp, r_minus=rm,
+        flux0=_flux_through_zero(evolved, mass, hbar),
+        directsum_distance=float(np.max(np.abs(evolved.samples
+                                               - summed.samples))),
+        grid_warning=split.grid_warning, rejected=False)
+
+
 def beta_condition_scan(builder: Callable[[float | str, SpatialGrid], WaveFunction],
                         beta_list, t_list, grid: SpatialGrid | None = None,
                         tol: float = 1e-3, mass: float = 1.0,
@@ -297,22 +320,8 @@ def beta_condition_scan(builder: Callable[[float | str, SpatialGrid], WaveFuncti
                                         directsum_distance=math.nan,
                                         grid_warning=False, rejected=True))
                 continue
-            pair = HistoryPair(t=float(t), beta=beta)
-            evolved = spectral_evolve_line(psi0, t, mass=mass, hbar=hbar)
-            summed = direct_sum_evolve(psi0, pair, mass=mass, hbar=hbar)
-            dist = float(np.max(np.abs(evolved.samples - summed.samples)))
-            rp, rm = boundary_condition_residuals(evolved, beta)
-            split = class_amplitudes(psi0, pair, mass=mass, hbar=hbar)
-            dm = DecoherenceMatrix(np.array(
-                [[split.c1.inner(split.c1), split.c2.inner(split.c1)],
-                 [np.conj(split.c2.inner(split.c1)), split.c2.inner(split.c2)]]))
-            rows.append(BetaScanRow(
-                beta=beta, t=float(t),
-                verdict=ConsistencyVerdict.from_matrix(dm, tol),
-                r_plus=rp, r_minus=rm,
-                flux0=_flux_through_zero(evolved, mass, hbar),
-                directsum_distance=dist,
-                grid_warning=split.grid_warning, rejected=False))
+            rows.append(history_row(psi0, HistoryPair(t=float(t), beta=beta),
+                                    tol=tol, mass=mass, hbar=hbar))
 
     def key(row: BetaScanRow):
         if isinstance(row.beta, str):

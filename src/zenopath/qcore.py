@@ -21,7 +21,8 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -45,9 +46,7 @@ class Operator:
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        m = np.asarray(mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator must be square, got shape {m.shape}")
+        m = _as_matrix(mat)
         if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
             raise ValueError("operator entries must be finite")
         self.mat = m
@@ -182,19 +181,57 @@ class DecoherenceMatrix:
         scale = max(self.d11, self.d22, 1e-30)
         return abs(self.d12.real) <= rel_tol * scale
 
+    @classmethod
+    def from_class_operator(cls, c1, rho) -> "DecoherenceMatrix":
+        """d(i,j) = Tr(C_i ρ C_j†) for C₁ = c1 and C₂ = 1 - C₁."""
+        c1, rho = _as_matrix(c1), _as_matrix(rho)
+        ops = (c1, np.eye(c1.shape[0]) - c1)
+        return cls(np.array([[np.trace(a @ rho @ b.conj().T) for b in ops]
+                             for a in ops]))
+
+
+def simpson_weights(n_points: int, step: float) -> np.ndarray:
+    """Composite Simpson weights for n_points (odd) nodes spaced by step."""
+    weights = np.ones(n_points)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights *= step / 3.0
+    return weights
+
+
+def _hermitian(H) -> np.ndarray:
+    """H as a matrix, if ‖H - H†‖₂ ≤ 1e-10·max(1, ‖H‖₂) (the one rule)."""
+    m = _as_matrix(H)
+    herm_defect = np.linalg.norm(m - m.conj().T, 2)
+    if herm_defect > 1e-10 * max(1.0, np.linalg.norm(m, 2)):
+        raise DomainError(f"H is not hermitian (defect {herm_defect:.3e})")
+    return m
+
+
+def _propagator(H, hbar: float) -> Callable[[float], np.ndarray]:
+    """τ ↦ exp(-iHτ/ħ) from one eigendecomposition of hermitian H."""
+    evals, vecs = np.linalg.eigh(_hermitian(H))
+
+    def u_of(tau: float) -> np.ndarray:
+        return (vecs * np.exp(-1j * evals * (tau / hbar))) @ vecs.conj().T
+
+    return u_of
+
+
+def _restricted_generator(h: np.ndarray, q: np.ndarray,
+                          hbar: float) -> Callable[[float], np.ndarray]:
+    """s ↦ Q exp(-i QHQ s/ħ) Q from one eigendecomposition of QHQ."""
+    qhq = q @ h @ q
+    u_qhq = _propagator(0.5 * (qhq + qhq.conj().T), hbar)   # scrub roundoff
+    return lambda s: q @ u_qhq(s) @ q
+
 
 def evolve(H, t: float, hbar: float = 1.0) -> Operator:
     """exp(-iHt/ħ) through the eigendecomposition of hermitian H.
 
     The result is unitary to machine precision for any t.
     """
-    m = _as_matrix(H)
-    herm_defect = np.linalg.norm(m - m.conj().T, 2)
-    if herm_defect > 1e-10 * max(1.0, np.linalg.norm(m, 2)):
-        raise DomainError(f"H is not hermitian (defect {herm_defect:.3e})")
-    evals, vecs = np.linalg.eigh(m)
-    phases = np.exp(-1j * evals * (t / hbar))
-    return Operator((vecs * phases) @ vecs.conj().T)
+    return Operator(_propagator(H, hbar)(t))
 
 
 def pdot(H, P, hbar: float = 1.0) -> Operator:
@@ -220,13 +257,13 @@ def decomposition_of_unity_residual(H, P, schedule: ZenoSchedule,
     times, so the residual is pure numerical noise; anything above ~1e-12
     indicates a broken projector or evolution.
     """
-    h = _as_matrix(H)
+    u_of = _propagator(H, hbar)
     p = _check_projector(P)
     q = np.eye(p.shape[0]) - p
     total = p.copy()
     chain = q.copy()          # Q(t_{k-1}) ... Q(t_0), with t_0 = 0
     for tk in schedule.times[1:]:
-        u = evolve(h, tk, hbar).mat
+        u = u_of(tk)
         p_t = u.conj().T @ p @ u
         q_t = u.conj().T @ q @ u
         total = total + p_t @ chain
@@ -256,11 +293,9 @@ def restricted_limit(H, Q, t: float, hbar: float = 1.0) -> Operator:
     In finite dimension the Zeno product converges to this at rate O(1/n);
     it serves as the cross-check for the finite-n route, not as its default.
     """
-    h = _as_matrix(H)
+    h = _hermitian(H)
     q = _check_projector(Q, "Q")
-    qhq = q @ h @ q
-    qhq = 0.5 * (qhq + qhq.conj().T)       # scrub roundoff asymmetry
-    return Operator(q @ evolve(qhq, t, hbar).mat @ q)
+    return Operator(_restricted_generator(h, q, hbar)(t))
 
 
 def zeno_limit_richardson(H, Q, t: float, n: int, hbar: float = 1.0) -> Operator:
@@ -292,36 +327,19 @@ def pdx_assemble(H, P, t: float, n_zeno: int, n_quad: int,
     dim = p.shape[0]
     q = np.eye(dim) - p
     pd = pdot(h, p, hbar).mat
+    u_of = _propagator(h, hbar)
 
-    herm_defect = np.linalg.norm(h - h.conj().T, 2)
-    if herm_defect > 1e-10 * max(1.0, np.linalg.norm(h, 2)):
-        raise DomainError(f"H is not hermitian (defect {herm_defect:.3e})")
-    evals, vecs = np.linalg.eigh(h)
-
-    def u_of(tau: float) -> np.ndarray:
-        return (vecs * np.exp(-1j * evals * (tau / hbar))) @ vecs.conj().T
-
-    if ur == "limit":
-        qhq = q @ h @ q
-        qhq = 0.5 * (qhq + qhq.conj().T)
-        qe, qv = np.linalg.eigh(qhq)
-
-    def u_r(s: float) -> np.ndarray:
-        if ur == "limit":
-            ur_s = (qv * np.exp(-1j * qe * (s / hbar))) @ qv.conj().T
-            return q @ ur_s @ q
+    def u_zeno(s: float) -> np.ndarray:
         n_s = int(np.ceil(n_zeno * s / t)) if t > 0 else 0
         if n_s == 0:
             return q.astype(complex)
         step = u_of(s / n_s) @ q
         return q @ np.linalg.matrix_power(step, n_s)
 
+    u_r = _restricted_generator(h, q, hbar) if ur == "limit" else u_zeno
+
     s_nodes = np.linspace(0.0, t, n_quad)
-    ds = s_nodes[1] - s_nodes[0] if n_quad > 1 else 0.0
-    weights = np.ones(n_quad)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= ds / 3.0
+    weights = simpson_weights(n_quad, s_nodes[1] - s_nodes[0])
 
     crossing = np.zeros((dim, dim), dtype=complex)
     for s, w in zip(s_nodes, weights):
@@ -366,14 +384,7 @@ def decoherence_functional(H, Q, rho, t: float, n_zeno: int,
         u_r = zeno_limit_richardson(h, Q, t, n_zeno, hbar).mat
     else:
         u_r = zeno_product(h, Q, ZenoSchedule(t, n_zeno), hbar).mat
-    c1 = u.conj().T @ u_r
-    c2 = np.eye(c1.shape[0]) - c1
-    ops = (c1, c2)
-    d = np.empty((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            d[i, j] = np.trace(ops[i] @ rho_m @ ops[j].conj().T)
-    return DecoherenceMatrix(d=d)
+    return DecoherenceMatrix.from_class_operator(u.conj().T @ u_r, rho_m)
 
 
 @dataclass(frozen=True)
@@ -400,9 +411,7 @@ def conjugate_time_no_go(H, trials: int = 1000, rng_seed: int = 42,
     ‖[H,T] - iħ·1‖ is bounded below by ħ (spectral norm) and ħ√dim (Frobenius)
     no matter how T is chosen.  The report carries the observed minima.
     """
-    h = _as_matrix(H)
-    if not Operator(h).is_hermitian(1e-10 * max(1.0, np.linalg.norm(h, 2))):
-        raise DomainError("H is not hermitian")
+    h = _hermitian(H)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     dim = h.shape[0]

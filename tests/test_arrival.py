@@ -340,6 +340,15 @@ class TestConvergedDensity:
         with pytest.raises(DomainError, match="t_center"):
             converged_density(st)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"dt": 0.0}, {"dt": -0.02}, {"dt": math.nan}, {"dt": math.inf},
+        {"half_width": 0.0}, {"half_width": math.nan},
+        {"half_width": math.inf},
+    ])
+    def test_bad_window_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            converged_density(arrival_packet(), **kwargs)
+
     def test_exhausted_widening_raises_advisory(self):
         with pytest.raises(ConvergenceAdvisory, match="converge"):
             converged_density(arrival_packet(), max_rounds=1)

@@ -368,6 +368,17 @@ class TestHistoriesCommand:
         assert proc.returncode == 3
         assert "numeric precondition" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ("histories", "--t-max", "nan"),
+        ("pdx-verify", "--system", "line", "--t", "nan"),
+    ], ids=["histories", "pdx-verify-line"])
+    def test_non_finite_duration(self, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        proc = run_cli(*argv, "--out", str(out))
+        assert proc.returncode == 3
+        assert "t must be" in proc.stderr
+        assert not out.exists()
+
 
 class TestArrivalCommand:
     def test_summary_metadata(self, arrival_run):
@@ -420,6 +431,17 @@ class TestArrivalCommand:
                        str(tmp_path / "x.csv"))
         assert proc.returncode == 3
         assert "numeric precondition" in proc.stderr
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--dt", "0"), ("--dt", "nan"), ("--half-width", "nan"),
+        ("--half-width", "0"),
+    ])
+    def test_bad_window_rejected(self, tmp_path, flag, value):
+        proc = run_cli("arrival", flag, value, "--out",
+                       str(tmp_path / "x.csv"))
+        assert proc.returncode == 3
+        assert f"{flag[2:].replace('-', '_')} must be positive and finite" \
+            in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -618,8 +618,9 @@ class TestLinePdx:
     def test_argument_errors(self):
         s = HalfLineSystem(L=40.0, n=2048, beta=0.0)
         psi = right_packet(s, 6.0, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            line_pdx_terms(psi, s, 0.0)
+        for t in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="t must be"):
+                line_pdx_terms(psi, s, t)
         with pytest.raises(ValueError):
             line_pdx_terms(psi, s, 1.0, n_quad=101)
         g = s.full_grid()

@@ -36,6 +36,7 @@ from zenopath.histories import (
     consistency_verdict,
     decoherence_line,
     direct_sum_evolve,
+    history_row,
     mirror_beta,
     reflection_safe_horizon,
     robin_state_builder,
@@ -66,8 +67,9 @@ class TestHistoryPair:
         assert pair.label_cross == "crosses x=0"
 
     def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError, match="t must be"):
-            HistoryPair(t=-0.1, beta=0.0)
+        for t in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t must be"):
+                HistoryPair(t=t, beta=0.0)
 
     def test_string_beta_must_be_reflecting(self):
         HistoryPair(t=1.0, beta=NEUMANN)
@@ -94,6 +96,15 @@ class TestConsistencyVerdict:
         bad = DecoherenceMatrix(np.array([[1.0, 2e-3], [2e-3, 0.5]], dtype=complex))
         assert ConsistencyVerdict.from_matrix(ok, tol=1e-3).consistent
         assert not ConsistencyVerdict.from_matrix(bad, tol=1e-3).consistent
+        # one rule: the verdict is the matrix's own test, also for matrices
+        # whose entries all sit below 1e-12
+        tiny = [DecoherenceMatrix(np.array([[a, c], [c, b]], dtype=complex))
+                for a, b, c in ((1e-14, 1e-15, 5e-18), (1e-14, 1e-15, 5e-16),
+                                (0.0, 0.0, 1e-20), (0.0, 0.0, 0.0))]
+        for dm in [ok, bad] + tiny:
+            for tol in (1e-6, 1e-3):
+                assert (ConsistencyVerdict.from_matrix(dm, tol).consistent
+                        == dm.is_consistent(tol))
 
     def test_null_matrix_is_consistent(self):
         v = ConsistencyVerdict.from_matrix(
@@ -280,6 +291,38 @@ class TestReflectionSafeHorizon:
         psi = gaussian_packet(GRID, 0.0, 2.0, 1.0)
         assert reflection_safe_horizon(psi, margin=8.0) \
             < reflection_safe_horizon(psi, margin=2.0)
+
+
+class TestHistoryRow:
+    def test_cli_sweep_runs_one_direct_sum_per_row(self, monkeypatch):
+        from zenopath import cli, histories
+        calls = []
+        real = histories.direct_sum_evolve
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].t)
+            return real(*args, **kwargs)
+
+        # the cli module is patched too, so a direct import there is counted
+        monkeypatch.setattr(histories, "direct_sum_evolve", counted)
+        monkeypatch.setattr(cli, "direct_sum_evolve", counted, raising=False)
+        table = cli.cmd_histories(cli.RunConfig("histories", {"n_t": 3}))
+        assert len(table.rows) == 3
+        assert calls == [row[0] for row in table.rows]
+
+    @pytest.mark.parametrize("beta", [0.0, 0.7, -1.3, NEUMANN])
+    def test_scan_rows_are_history_rows(self, beta):
+        psi = robin_state_builder()(beta, GRID)
+        pair = HistoryPair(t=1.5, beta=beta)
+        scan = beta_condition_scan(robin_state_builder(), [beta], [1.5],
+                                   grid=GRID, tol=1e-3)
+        row = history_row(psi, pair, tol=1e-3)
+        # verdict, distance, residuals and flux: every field identical
+        assert scan == [row]
+        assert row.verdict == consistency_verdict(psi, pair, tol=1e-3)
+        dist = np.max(np.abs(spectral_evolve_line(psi, 1.5).samples
+                             - direct_sum_evolve(psi, pair).samples))
+        assert row.directsum_distance == dist
 
 
 class TestBetaConditionScan:

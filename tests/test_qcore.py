@@ -107,9 +107,21 @@ class TestEvolve:
             u = evolve(random_hermitian(rng, dim), float(rng.uniform(0, 10)))
             assert u.is_unitary(1e-12)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(DomainError):
-            evolve(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+    # every entry point takes H through the one hermiticity rule; for
+    # restricted_limit the defect sits outside the QHQ block, which the
+    # symmetrised generator alone would never see
+    @pytest.mark.parametrize("call", [
+        lambda h, p, q: evolve(h, 1.0),
+        lambda h, p, q: pdx_assemble(h, p, 1.0, n_zeno=4, n_quad=3),
+        lambda h, p, q: restricted_limit(h, q, 1.0),
+        lambda h, p, q: decoherence_functional(h, q, q, 1.0, n_zeno=4),
+        lambda h, p, q: conjugate_time_no_go(h, trials=1),
+    ], ids=["evolve", "pdx_assemble", "restricted_limit",
+            "decoherence_functional", "conjugate_time_no_go"])
+    def test_rejects_non_hermitian(self, call):
+        p = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(DomainError, match="not hermitian"):
+            call(np.array([[0.0, 1.0], [0.0, 0.0]]), p, np.eye(2) - p)
 
 
 class TestDecompositionOfUnity:
