@@ -62,6 +62,11 @@ class SpatialGrid:
     def x(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n)
 
+    @property
+    def k(self) -> np.ndarray:
+        """Angular wavenumbers of the grid's FFT modes, in numpy's FFT order."""
+        return 2 * np.pi * np.fft.fftfreq(self.n, self.dx)
+
     def is_symmetric(self) -> bool:
         """Symmetric about 0 with an even point count, so x = 0 sits on a node."""
         scale = max(abs(self.x_min), abs(self.x_max), 1.0)
@@ -160,7 +165,7 @@ def to_momentum(psi: WaveFunction, hbar: float = 1.0) -> WaveFunction:
     if psi.representation != "position":
         raise ValueError("state is already in momentum representation")
     g = psi.grid
-    k = 2 * np.pi * np.fft.fftfreq(g.n, g.dx)
+    k = g.k
     phi = g.dx / np.sqrt(2 * np.pi * hbar) * np.fft.fft(psi.samples)
     phi *= np.exp(-1j * k * g.x_min)
     order = np.argsort(k, kind="stable")
@@ -175,7 +180,7 @@ def to_position(phi: WaveFunction, grid: SpatialGrid, hbar: float = 1.0) -> Wave
     if phi.representation != "momentum":
         raise ValueError("state is not in momentum representation")
     k_sorted = phi.grid.x / hbar
-    k = 2 * np.pi * np.fft.fftfreq(grid.n, grid.dx)
+    k = grid.k
     order = np.argsort(k, kind="stable")
     spec = np.empty(grid.n, dtype=complex)
     if not np.allclose(k[order], k_sorted, atol=1e-9):
@@ -195,8 +200,7 @@ def spectral_evolve_line(psi: WaveFunction, t: float,
         out = psi.samples * np.exp(-1j * p ** 2 * t / (2 * mass * hbar))
         return WaveFunction(psi.grid, out, "momentum")
     g = psi.grid
-    k = 2 * np.pi * np.fft.fftfreq(g.n, g.dx)
-    spec = np.fft.fft(psi.samples) * np.exp(-1j * hbar * k ** 2 * t / (2 * mass))
+    spec = np.fft.fft(psi.samples) * np.exp(-1j * hbar * g.k ** 2 * t / (2 * mass))
     return WaveFunction(g, np.fft.ifft(spec), "position")
 
 
@@ -453,8 +457,9 @@ def _from_dirichlet(g: np.ndarray, sys: HalfLineSystem) -> np.ndarray:
 
 def _null_phase(sys: HalfLineSystem, t) -> np.ndarray | float:
     """Evolution of g_0: the bound state's e^{iħt/2mβ²} for β < 0, none for
-    β > 0, where g_0 is a wall residual and not a state."""
-    if sys.beta > 0:
+    β > 0, where g_0 is a wall residual and not a state, nor for the parity
+    walls, which have no g_0."""
+    if sys.is_neumann or sys.beta >= 0:
         return 1.0
     return np.exp(1j * sys.hbar * np.asarray(t) / (2 * sys.mass * sys.beta ** 2))
 
@@ -563,8 +568,7 @@ def grid_zeno_product(psi: WaveFunction, sys: HalfLineSystem, t: float,
     if psi.grid != sys.full_grid():
         raise ValueError("state grid does not match the full-line system grid")
     g = psi.grid
-    k = 2 * np.pi * np.fft.fftfreq(g.n, g.dx)
-    phase = np.exp(-1j * sys.hbar * k ** 2 * (t / n) / (2 * sys.mass))
+    phase = np.exp(-1j * sys.hbar * g.k ** 2 * (t / n) / (2 * sys.mass))
     cur = psi.samples.copy()
     cur[:sys.n] = 0.0
     for _ in range(n):
@@ -623,8 +627,7 @@ def line_pdx_terms(psi: WaveFunction, sys: HalfLineSystem, t: float,
                           "the split needs right-supported input")
 
     g = psi.grid
-    k = 2 * np.pi * np.fft.fftfreq(g.n, g.dx)
-    spec0 = np.fft.fft(samples)
+    k = g.k
     k_nyq = np.pi / dx
     if k_cut is None:
         # phase step (ħk²t/2m)·(π/2n_quad)·|sin 2θ| ≤ 0.4 rad within the zone
@@ -637,16 +640,20 @@ def line_pdx_terms(psi: WaveFunction, sys: HalfLineSystem, t: float,
     wj = w_simp * t * np.sin(2 * theta)    # ds = t·sin2θ dθ under s = t·cos²θ
     s_nodes = t - u ** 2
 
-    a_s, b_s = _wall_data(samples[n:], sys, s_nodes)
-
+    # The one phase table: the crossing needs e^{-iħk²u²/2m}, the wall
+    # values at s = t - u² the conjugate times tail = e^{-iħk²t/2m}.
     disp = np.exp(-1j * hbar * np.outer(u ** 2, k ** 2) / (2 * mass))
+    mu = hbar * k ** 2 / (2 * mass)
+    tail = np.exp(-1j * mu * t)
+    coef, null = _wall_probe(samples[n:], sys)
+    a_s, b_s = (np.conj(np.conj(tail * coef) @ disp.T)
+                + np.outer(null, _null_phase(sys, s_nodes)))
+
     src_quad = (wj * b_s) @ disp + 1j * k * ((wj * a_s) @ disp)
 
     # Endpoint asymptotics: s_nodes runs t -> 0, so f(t)=f[0], f(0)=f[-1].
-    mu = hbar * k ** 2 / (2 * mass)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(mu > 0, 1.0 / np.where(mu > 0, mu, 1.0), 0.0)
-    tail = np.exp(-1j * mu * t)
     i_b = (b_s[0] - b_s[-1] * tail) * inv / 1j
     i_a = (a_s[0] - a_s[-1] * tail) * inv / 1j
     src_asym = i_b + 1j * k * i_a
@@ -661,7 +668,7 @@ def line_pdx_terms(psi: WaveFunction, sys: HalfLineSystem, t: float,
     chi_spec = (1j * hbar / (2 * mass)) * guard * d_spec * source
     crossing = np.fft.ifft(chi_spec)
 
-    evolved = np.fft.ifft(spec0 * np.exp(-1j * hbar * k ** 2 * t / (2 * mass)))
+    evolved = spectral_evolve_line(psi, t, mass, hbar).samples
     restricted = np.zeros(g.n, dtype=complex)
     half = WaveFunction(sys.half_grid(), samples[n:])
     restricted[n:] = restricted_propagate(half, sys, t,
@@ -682,42 +689,36 @@ def _raised_cosine_window(k: np.ndarray, k_pass: float, k_stop: float) -> np.nda
     return w
 
 
-def _wall_data(h0: np.ndarray, sys: HalfLineSystem,
-               s_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Wall value a(s) and derivative b(s) of U_r^β(s)ψ at each quadrature node.
+def _wall_probe(h0: np.ndarray, sys: HalfLineSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Wall value a(s) and derivative b(s) of U_r^β(s)ψ as k-space rows:
 
-    Every node's state is an image evolution (of ψ, or of g = D_h ψ), read at
-    the wall through one fixed weight vector in the grid's momentum basis.
-    Parity walls: the extension is smooth through x = 0, so the derivative is
-    taken spectrally (exact for the grid).  Finite β: the intertwined state
-    g = D_h ψ evolves by odd images, ψ_s(0) = ℓ @ g_s is the march's wall
-    value (`_wall_functional`) and b(s) = a(s)/β.
+        [a(s); b(s)] = coef @ e^{-iħk²s/2m} + null·_null_phase(sys, s)
+
+    over the full grid's wavenumbers k.  Every wall evolves an image
+    extension (of ψ, or of g = D_h ψ) and reads it at the wall through one
+    fixed weight vector, so coef is that extension's spectrum times the
+    vector's transform.  Parity walls: the extension is smooth through
+    x = 0, so the derivative is taken spectrally (exact for the grid).
+    Finite β: ψ_s(0) = ℓ @ g_s is the march's wall value
+    (`_wall_functional`), b(s) = a(s)/β, and null carries g_0, which
+    evolves outside the image route.
     """
     n = sys.n
-    robin = not (sys.is_dirichlet or sys.is_neumann)
-    if robin:
-        g = _to_dirichlet(h0, sys)
-        f = _image_extension(g, replace(sys, beta=0.0))
-    else:
-        f = _image_extension(h0, sys)
-    k = 2 * np.pi * np.fft.fftfreq(2 * n, sys.dx)
-    spec = np.fft.fft(f)
-    disp = np.exp(-1j * sys.hbar * np.outer(s_nodes, k ** 2) / (2 * sys.mass))
-    if robin:
-        ell = _wall_functional(sys)
-        probe = np.zeros(2 * n)
-        probe[n + 1:] = ell[1:]
-        a = (disp * spec) @ np.fft.ifft(probe)
-        a += ell[0] * g[0] * _null_phase(sys, s_nodes)
-        return a, a / sys.beta
-    e0 = np.exp(2j * np.pi * np.arange(2 * n) * n / (2 * n))  # value at x=0
-    if sys.is_dirichlet:
-        a = np.zeros(len(s_nodes), dtype=complex)
-        b = (disp * (1j * k * spec)) @ e0 / (2 * n)
-    else:
-        a = (disp * spec) @ e0 / (2 * n)
-        b = np.zeros(len(s_nodes), dtype=complex)
-    return a, b
+    if sys.is_dirichlet or sys.is_neumann:
+        e0 = np.exp(2j * np.pi * np.arange(2 * n) * n / (2 * n))  # value at x=0
+        value = np.fft.fft(_image_extension(h0, sys)) * e0 / (2 * n)
+        zero = np.zeros_like(value)
+        if sys.is_dirichlet:
+            return np.array([zero, 1j * sys.full_grid().k * value]), np.zeros(2)
+        return np.array([value, zero]), np.zeros(2)
+    g = _to_dirichlet(h0, sys)
+    ell = _wall_functional(sys)
+    probe = np.zeros(2 * n)
+    probe[n + 1:] = ell[1:]
+    value = (np.fft.fft(_image_extension(g, replace(sys, beta=0.0)))
+             * np.fft.ifft(probe))
+    return (np.array([value, value / sys.beta]),
+            ell[0] * g[0] * np.array([1.0, 1.0 / sys.beta]))
 
 
 def line_pdx_residual(psi: WaveFunction, sys: HalfLineSystem, t: float,

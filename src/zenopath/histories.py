@@ -258,10 +258,8 @@ def _spectral_gate_residual(psi: WaveFunction, beta) -> float:
     """|ψ(0) - βψ'(0)| with the spectral derivative; exact for the smooth
     band-limited states a builder should produce, so the rejection gate is
     not polluted by stencil truncation error."""
-    g = psi.grid
-    n = g.n // 2
-    k = 2 * np.pi * np.fft.fftfreq(g.n, g.dx)
-    dpsi = np.fft.ifft(1j * k * np.fft.fft(psi.samples))[n]
+    n = psi.grid.n // 2
+    dpsi = np.fft.ifft(1j * psi.grid.k * np.fft.fft(psi.samples))[n]
     if isinstance(beta, str):
         return abs(dpsi)
     return abs(psi.samples[n] - beta * dpsi)

@@ -40,6 +40,13 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
+def _check_time(t: float, nonnegative: bool = False) -> None:
+    """The one rule for evolution times: finite, and >= 0 where asked."""
+    if not np.isfinite(t) or (nonnegative and t < 0):
+        bound = " and >= 0" if nonnegative else ""
+        raise ValueError(f"t must be finite{bound}, got {t}")
+
+
 class Operator:
     """Dense complex square matrix with the predicates used across the package."""
 
@@ -59,13 +66,6 @@ class Operator:
     def identity(cls, dim: int) -> "Operator":
         return cls(np.eye(dim, dtype=complex))
 
-    @classmethod
-    def zeros(cls, dim: int) -> "Operator":
-        return cls(np.zeros((dim, dim), dtype=complex))
-
-    def dagger(self) -> "Operator":
-        return Operator(self.mat.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
 
@@ -83,9 +83,6 @@ class Operator:
     def is_projector(self, tol: float = 1e-10) -> bool:
         idem = np.linalg.norm(self.mat @ self.mat - self.mat, 2) <= tol
         return idem and self.is_hermitian(tol)
-
-    def apply(self, vec) -> np.ndarray:
-        return self.mat @ np.asarray(vec, dtype=complex)
 
     def __matmul__(self, other) -> "Operator":
         return Operator(self.mat @ _as_matrix(other))
@@ -120,8 +117,7 @@ class ZenoSchedule:
     n: int
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"schedule time must be >= 0, got {self.t}")
+        _check_time(self.t, nonnegative=True)
         if self.n < 0:
             raise ValueError(f"interval count must be >= 0, got {self.n}")
 
@@ -229,8 +225,9 @@ def _restricted_generator(h: np.ndarray, q: np.ndarray,
 def evolve(H, t: float, hbar: float = 1.0) -> Operator:
     """exp(-iHt/ħ) through the eigendecomposition of hermitian H.
 
-    The result is unitary to machine precision for any t.
+    The result is unitary to machine precision for any finite t.
     """
+    _check_time(t)
     return Operator(_propagator(H, hbar)(t))
 
 
@@ -293,6 +290,7 @@ def restricted_limit(H, Q, t: float, hbar: float = 1.0) -> Operator:
     In finite dimension the Zeno product converges to this at rate O(1/n);
     it serves as the cross-check for the finite-n route, not as its default.
     """
+    _check_time(t)
     h = _hermitian(H)
     q = _check_projector(Q, "Q")
     return Operator(_restricted_generator(h, q, hbar)(t))
@@ -318,8 +316,7 @@ def pdx_assemble(H, P, t: float, n_zeno: int, n_quad: int,
         raise ValueError(f"n_quad must be odd and >= 3, got {n_quad}")
     if n_zeno < 1:
         raise ValueError(f"n_zeno must be >= 1, got {n_zeno}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _check_time(t, nonnegative=True)
     if ur not in ("zeno", "limit"):
         raise ValueError(f"unknown ur mode {ur!r}")
     h = _as_matrix(H)

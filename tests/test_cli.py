@@ -504,6 +504,18 @@ class TestResolutionAndLayout:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / f"{args[0]}.csv").exists()
 
+    # NaN and inf used to reach Operator and fail there on non-finite entries
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["twostate", "zeno-converge",
+                                         "pdx-verify"])
+    def test_non_finite_time_rejected(self, tmp_path, command, value):
+        out = tmp_path / "x.csv"
+        proc = run_cli(command, "--t", value, "--out", str(out))
+        assert proc.returncode == 3
+        assert "t must be finite" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not out.exists()
+
     def test_flag_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("t=1.0\nn_list=2,4\n")

@@ -43,7 +43,7 @@ from zenopath.halfline import (
     to_position,
     wall_flux,
 )
-from zenopath.halfline import _linear_scan, _wall_data
+from zenopath.halfline import _linear_scan, _wall_probe
 from zenopath.qcore import DomainError
 
 
@@ -81,6 +81,9 @@ class TestSpatialGrid:
         assert g.dx == pytest.approx(0.25)
         assert g.x[0] == pytest.approx(-2.0)
         assert g.x[-1] == pytest.approx(2.0 - 0.25)
+        # wavenumbers in FFT order: fundamental 2π/(x_max - x_min), Nyquist
+        assert g.k[1] == pytest.approx(2 * np.pi / 4.0)
+        assert g.k[8] == pytest.approx(-np.pi / 0.25)
 
     def test_symmetric_detection(self):
         assert SpatialGrid(-3.0, 3.0, 64).is_symmetric()
@@ -489,18 +492,45 @@ class TestIntertwinedRoute:
                                    atol=1e-12)
 
     def test_wall_data_matches_per_node_propagation(self):
+        # the probe's rows give [a; b] = coef @ e^{-iħk²s/2m} + null·phase,
+        # with the bound state's phase e^{iħs/2mβ²} for β < 0
         s_nodes = np.linspace(0.0, 4.0, 9)
-        for beta in (0.7, -1.3):
+        for beta in (0.7, -1.3, 0.0, NEUMANN):
             s = HalfLineSystem(L=40.0, n=1024, beta=beta)
-            w = half_packet(s, 5.0, -1.5, 1.2)
-            a, b = _wall_data(w.samples, s, s_nodes)
-            per_node = np.array([
-                restricted_propagate(w, s, float(t),
-                                     method="intertwine").samples[0]
-                for t in s_nodes])
-            assert np.max(np.abs(per_node)) > 0.05       # the wall is reached
-            assert np.max(np.abs(a - per_node)) <= 1e-12, beta
-            np.testing.assert_allclose(a, beta * b, atol=1e-14)
+            w = half_packet(s, 5.0, -1.5, 1.2, pin_wall=s.is_dirichlet)
+            k = s.full_grid().k
+            coef, null = _wall_probe(w.samples, s)
+            phase = 1.0 if s.is_neumann or beta >= 0 \
+                else np.exp(1j * s_nodes / (2 * beta ** 2))
+            a, b = (coef @ np.exp(-0.5j * np.outer(k ** 2, s_nodes))
+                    + np.outer(null, phase))
+
+            def at_wall(method):
+                return np.array([
+                    restricted_propagate(w, s, float(t),
+                                         method=method).samples[0]
+                    for t in s_nodes])
+
+            if s.is_dirichlet:
+                # spectral derivative at x = 0 of each node's odd image
+                odd = np.zeros(2 * s.n, dtype=complex)
+                odd[s.n:] = w.samples
+                odd[1:s.n] = -w.samples[1:][::-1]
+                full = WaveFunction(s.full_grid(), odd)
+                ref = np.array([
+                    np.fft.ifft(1j * k * np.fft.fft(
+                        spectral_evolve_line(full, float(t)).samples))[s.n]
+                    for t in s_nodes])
+                np.testing.assert_array_equal(a, 0.0)
+                got = b
+            elif s.is_neumann:
+                ref, got = at_wall("images"), a
+                np.testing.assert_array_equal(b, 0.0)
+            else:
+                ref, got = at_wall("intertwine"), a
+                np.testing.assert_allclose(a, beta * b, atol=1e-14)
+            assert np.max(np.abs(ref)) > 0.05           # the wall is reached
+            assert np.max(np.abs(got - ref)) <= 1e-12, beta
 
     def test_tiny_beta_approaches_the_hard_wall(self):
         # dx/|β| ~ 4e5: the cell factors must neither overflow nor divide

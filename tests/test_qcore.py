@@ -123,6 +123,24 @@ class TestEvolve:
         with pytest.raises(DomainError, match="not hermitian"):
             call(np.array([[0.0, 1.0], [0.0, 0.0]]), p, np.eye(2) - p)
 
+    # one time rule: t finite everywhere, and >= 0 where it is a duration
+    @pytest.mark.parametrize("call, nonnegative", [
+        (lambda h, p, q, t: evolve(h, t), False),
+        (lambda h, p, q, t: restricted_limit(h, q, t), False),
+        (lambda h, p, q, t: ZenoSchedule(t, 3), True),
+        (lambda h, p, q, t: pdx_assemble(h, p, t, n_zeno=4, n_quad=3), True),
+    ], ids=["evolve", "restricted_limit", "ZenoSchedule", "pdx_assemble"])
+    def test_rejects_non_finite_time(self, call, nonnegative):
+        sys = TwoStateSystem(omega=1.0)
+        args = sys.hamiltonian(), sys.projector_up(), sys.projector_down()
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="t must be finite"):
+                call(*args, t)
+        if nonnegative:
+            with pytest.raises(ValueError, match="t must be finite and >= 0"):
+                call(*args, -1.0)
+        else:
+            call(*args, -1.0)           # backward evolution stays allowed
 
 class TestDecompositionOfUnity:
     def test_two_state(self):
