@@ -16,9 +16,11 @@ Quadrature: midpoint sums on a uniform momentum grid whose nodes sit at
 half-integer offsets, p_j = -P + (j+½)Δp.  The p = 0 point, where the
 √|p| weight has a kink, is never sampled, and reversing the sample order
 realises the parity map p → -p exactly.  Time windows for normalization
-and moments are widened until the captured mass stops changing; an
-unconverged window raises ConvergenceAdvisory rather than returning a
-silently truncated distribution.
+and moments are symmetric windows t_center + dt·k, |k| ≤ K, on one time
+lattice, widened until the captured mass stops changing; each round
+evaluates only the samples it adds.  An unconverged window raises
+ConvergenceAdvisory rather than returning a silently truncated
+distribution.
 
 Arrival at a general point x_a enters through the translation phase
 e^{ip·x_a/ħ} applied to ψ(p) before the x = 0 formulas.
@@ -44,6 +46,19 @@ class ConvergenceAdvisory(RuntimeError):
 class CapturedMassExcess(ValueError):
     """A density window captured more than unit probability (beyond the
     quadrature slack), the signature of an unresolved slow arrival tail."""
+
+
+def _uniform_step(x: np.ndarray, what: str) -> float:
+    """Mean step of a finite, ascending 1-d grid whose steps agree to 1e-9
+    relative: the one uniform-grid rule of this module."""
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError(f"{what} must be 1-d with at least 2 samples")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} must be finite")
+    d = np.diff(x)
+    if d[0] <= 0 or np.max(np.abs(d - d[0])) > 1e-9 * d[0]:
+        raise ValueError(f"{what} must be uniform and ascending")
+    return float(x[-1] - x[0]) / (x.size - 1)
 
 
 def momentum_grid(p_max: float, n: int) -> np.ndarray:
@@ -75,15 +90,12 @@ class MomentumState:
             raise ValueError("momentum grid must be 1-d with at least 8 nodes")
         if psi.shape != p.shape:
             raise ValueError(f"psi shape {psi.shape} does not match grid {p.shape}")
-        d = np.diff(p)
-        dp = d[0]
-        if dp <= 0 or np.max(np.abs(d - dp)) > 1e-9 * dp:
-            raise ValueError("momentum grid must be uniform and ascending")
+        _uniform_step(p, "momentum grid")
+        dp = p[1] - p[0]
         if np.min(np.abs(p)) < 1e-12 * dp:
             raise ValueError("momentum grid must not sample p = 0 "
                              "(use the half-offset nodes of momentum_grid)")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(psi.real))
-                and np.all(np.isfinite(psi.imag))):
+        if not (np.all(np.isfinite(psi.real)) and np.all(np.isfinite(psi.imag))):
             raise ValueError("state entries must be finite")
         if self.mass <= 0 or self.hbar <= 0:
             raise ValueError("mass and hbar must be positive")
@@ -167,11 +179,7 @@ class ArrivalDistribution:
         den = np.asarray(self.density, dtype=float)
         rp = np.asarray(self.right_part, dtype=float)
         lp = np.asarray(self.left_part, dtype=float)
-        if t.ndim != 1 or t.size < 2:
-            raise ValueError("time grid must be 1-d with at least 2 samples")
-        d = np.diff(t)
-        if d[0] <= 0 or np.max(np.abs(d - d[0])) > 1e-9 * d[0]:
-            raise ValueError("time grid must be uniform and ascending")
+        _uniform_step(t, "time grid")
         if not (den.shape == rp.shape == lp.shape == t.shape):
             raise ValueError("component shapes must match the time grid")
         if np.min(den) < -_NEG_TOL:
@@ -200,54 +208,77 @@ class ArrivalDistribution:
         return float(self.t[int(np.argmax(self.density))])
 
 
-def _phase_apply(state: MomentumState, t_grid: np.ndarray, weights):
-    """Rows Σ_p w(p)ψ(p)e^{-ip²t/2mħ} for each weight vector, blocked in t."""
-    p = state.p
-    coef = [np.asarray(w, dtype=complex) for w in weights]
-    out = [np.empty(t_grid.size, dtype=complex) for _ in coef]
-    block = max(1, 4_000_000 // p.size)
-    ksq = p ** 2 / (2.0 * state.mass * state.hbar)
-    for i in range(0, t_grid.size, block):
-        e = np.exp(-1j * np.outer(t_grid[i:i + block], ksq))
-        for w, o in zip(coef, out):
-            o[i:i + block] = e @ w
+def _phase_apply(state: MomentumState, weights: np.ndarray, t0: float,
+                 dt: float, k0: int, n: int) -> np.ndarray:
+    """Rows k = k0 .. k0+n-1 of Σ_p W(p)e^{-iE(p)t_k}, t_k = t0 + dt·k,
+    E = p²/2mħ, for every weight column of W at once.
+
+    The phase table of each block of B ≈ √n rows is the product of two
+    exactly evaluated exponentials, e^{-iE·t_b} at the block's first row and
+    e^{-iE·dt·s} for s < B.  That takes ~2√n exponentials per momentum node
+    instead of n, and, unlike a running recurrence, accumulates no rounding
+    from block to block.
+    """
+    e = state.p ** 2 / (2.0 * state.mass * state.hbar)
+    b = max(1, math.ceil(math.sqrt(n)))
+    step = np.exp(-1j * np.outer(dt * np.arange(b), e))
+    out = np.empty((n, weights.shape[1]), dtype=complex)
+    for i in range(0, n, b):
+        base = np.exp(-1j * (t0 + dt * (k0 + i)) * e)
+        out[i:i + b] = step[:n - i] @ (base[:, None] * weights)
     return out
 
 
-def _time_grid(t_grid) -> np.ndarray:
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("t_grid must be 1-d with at least 2 samples")
-    return t
+def _time_grid(t: np.ndarray) -> tuple[float, float]:
+    """(t₀, dt) of a time grid that passes the module's uniform-grid rule."""
+    dt = _uniform_step(t, "time grid")
+    return float(t[0]), dt
+
+
+def _weights(state: MomentumState, x_arrival: float) -> np.ndarray:
+    """Phase-sum weights as columns: the right and left Kijowski amplitudes,
+    then ψ(x_a, t) and ∂ₓψ(x_a, t) for the flux."""
+    p, dp, hbar = state.p, state.dp, state.hbar
+    psi = state.psi * np.exp(1j * p * x_arrival / hbar)
+    w = np.sqrt(np.abs(p) / (2 * np.pi * state.mass * hbar)) * dp
+    scale = dp / math.sqrt(2 * np.pi * hbar)
+    return np.stack([w * (p > 0) * psi, w * (p < 0) * psi, scale * psi,
+                     scale * (1j * p / hbar) * psi], axis=1)
+
+
+def _distribution(state: MomentumState, t: np.ndarray, amp: np.ndarray,
+                  x_arrival: float) -> ArrivalDistribution:
+    right, left = np.abs(amp.T) ** 2
+    dp = state.dp
+    return ArrivalDistribution(t=t, density=right + left, right_part=right,
+                               left_part=left, dp=dp,
+                               p_max=float(np.max(np.abs(state.p)) + 0.5 * dp),
+                               x_arrival=x_arrival)
+
+
+def _current(state: MomentumState, amp: np.ndarray) -> np.ndarray:
+    val, der = amp.T
+    return np.asarray((state.hbar / state.mass) * (np.conj(val) * der).imag)
 
 
 def kijowski_density(state: MomentumState, t_grid,
                      x_arrival: float = 0.0) -> ArrivalDistribution:
     """Arrival density at x_arrival over the given uniform time window."""
-    t = _time_grid(t_grid)
-    p, dp = state.p, state.dp
-    psi = state.psi * np.exp(1j * p * x_arrival / state.hbar)
-    w = np.sqrt(np.abs(p) / (2 * np.pi * state.mass * state.hbar)) * dp
-    amp_r, amp_l = _phase_apply(state, t, [w * (p > 0) * psi,
-                                           w * (p < 0) * psi])
-    right = np.abs(amp_r) ** 2
-    left = np.abs(amp_l) ** 2
-    return ArrivalDistribution(t=t, density=right + left, right_part=right,
-                               left_part=left, dp=dp,
-                               p_max=float(np.max(np.abs(p)) + 0.5 * dp),
-                               x_arrival=x_arrival)
+    t = np.asarray(t_grid, dtype=float)
+    t0, dt = _time_grid(t)
+    amp = _phase_apply(state, _weights(state, x_arrival)[:, :2], t0, dt, 0,
+                       t.size)
+    return _distribution(state, t, amp, x_arrival)
 
 
 def current_density_at_origin(state: MomentumState, t_grid,
                               x_arrival: float = 0.0) -> np.ndarray:
     """Flux J(x_a,t) = (ħ/m)·Im[ψ̄ ∂ₓψ]; real series, sign unconstrained."""
-    t = _time_grid(t_grid)
-    p, dp = state.p, state.dp
-    psi = state.psi * np.exp(1j * p * x_arrival / state.hbar)
-    scale = dp / math.sqrt(2 * np.pi * state.hbar)
-    val, der = _phase_apply(state, t, [scale * psi,
-                                       scale * (1j * p / state.hbar) * psi])
-    return np.asarray((state.hbar / state.mass) * (np.conj(val) * der).imag)
+    t = np.asarray(t_grid, dtype=float)
+    t0, dt = _time_grid(t)
+    amp = _phase_apply(state, _weights(state, x_arrival)[:, 2:], t0, dt, 0,
+                       t.size)
+    return _current(state, amp)
 
 
 def arrival_moments(dist: ArrivalDistribution, order: int) -> float:
@@ -276,26 +307,52 @@ def converged_density(state: MomentumState, t_center: float | None = None,
                       x_arrival: float = 0.0) -> ArrivalDistribution:
     """Widen the time window about t_center until the mass stops moving.
 
-    Successive windows grow geometrically; convergence means the captured
-    mass changes by less than tol between rounds.  With t_center omitted it
-    is estimated from the classical flight time (x_a - ⟨x⟩)·m/⟨p⟩.
+    The windows are nested on one lattice t_center + dt·k: round r keeps
+    |k| ≤ K_r = round(w_r/dt), where the half width w_r = half_width·growth^r
+    grows geometrically, and evaluates only the samples it adds at the two
+    edges.  Convergence means the captured mass changes by less than tol
+    between rounds.  With t_center omitted it is estimated from the
+    classical flight time (x_a - ⟨x⟩)·m/⟨p⟩.
     """
+    return _converged_window(state, t_center, half_width, dt, tol, growth,
+                             max_rounds, x_arrival)[0]
+
+
+def _converged_window(state: MomentumState, t_center: float | None = None,
+                      half_width: float = 5.0, dt: float = 0.02,
+                      tol: float = 1e-4, growth: float = 1.6,
+                      max_rounds: int = 12, x_arrival: float = 0.0
+                      ) -> tuple[ArrivalDistribution, np.ndarray]:
+    """`converged_density` plus the flux on the same window, from the same
+    phase sums: returns (distribution, current)."""
     for name, value in (("half_width", half_width), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not growth >= 1:
+        raise ValueError(f"growth must be >= 1, got {growth}")
     if t_center is None:
         pbar = state.mean_momentum()
         if abs(pbar) < 1e-9:
             raise DomainError("cannot estimate an arrival window for a "
                               "zero-mean-momentum state; pass t_center")
         t_center = (x_arrival - state.mean_position()) * state.mass / pbar
+    elif not math.isfinite(t_center):
+        raise ValueError(f"t_center must be finite, got {t_center}")
+    weights = _weights(state, x_arrival)
+    k = 0
+    amp = _phase_apply(state, weights, t_center, dt, 0, 1)
     w = half_width
     prev = None
     for _ in range(max_rounds):
-        n = max(int(round(2 * w / dt)), 2)
-        t = t_center - w + dt * np.arange(n + 1)
+        k_new = max(int(round(w / dt)), 1)
+        grown = k_new - k
+        amp = np.concatenate([
+            _phase_apply(state, weights, t_center, dt, -k_new, grown), amp,
+            _phase_apply(state, weights, t_center, dt, k + 1, grown)])
+        k = k_new
+        t = t_center + dt * np.arange(-k, k + 1)
         try:
-            dist = kijowski_density(state, t, x_arrival=x_arrival)
+            dist = _distribution(state, t, amp[:, :2], x_arrival)
         except CapturedMassExcess as exc:
             raise ConvergenceAdvisory(
                 "window widening drove the captured mass past unity; the "
@@ -303,7 +360,7 @@ def converged_density(state: MomentumState, t_center: float | None = None,
                 "this momentum grid cannot resolve") from exc
         mass = dist.captured_mass()
         if prev is not None and abs(mass - prev) < tol:
-            return dist
+            return dist, _current(state, amp[:, 2:])
         prev = mass
         w *= growth
     raise ConvergenceAdvisory(

@@ -42,12 +42,10 @@ import numpy as np
 from . import __version__
 from .arrival import (
     ConvergenceAdvisory,
+    _converged_window,
     arrival_moments,
-    converged_density,
-    current_density_at_origin,
     flux_l1_distance,
     gaussian_momentum_state,
-    kijowski_density,
     momentum_grid,
     smeared_density,
 )
@@ -59,12 +57,13 @@ from .halfline import (
     gaussian_packet,
     line_pdx_residual,
 )
-from .histories import HistoryPair, history_row
+from .histories import HistoryPair, history_row, reflection_safe_horizon
 from .qcore import (
     DecoherenceMatrix,
     DomainError,
     TwoStateSystem,
     ZenoSchedule,
+    _check_time,
     evolve,
     pdx_assemble,
     restricted_limit,
@@ -427,6 +426,15 @@ def cmd_histories(cfg: RunConfig) -> ResultTable:
     parity = None if p["parity"] == "none" else p["parity"]
     psi = gaussian_packet(grid, p["x0"], p["p0"], p["sigma"], parity=parity)
     beta = p["beta"]
+    for t in (p["t_min"], p["t_max"]):
+        _check_time(t, nonnegative=True)
+    t_end = max(p["t_min"], p["t_max"])
+    horizon = reflection_safe_horizon(psi)
+    if t_end > horizon:
+        raise ValueError(f"the sweep reaches t = {t_end:g}, past the "
+                         f"reflection-safe horizon {horizon:.4g} of this "
+                         "packet and grid; those rows would carry FFT "
+                         "wrap-around")
     t_values = np.linspace(p["t_min"], p["t_max"], p["n_t"])
 
     def one(t: float):
@@ -444,16 +452,18 @@ def cmd_histories(cfg: RunConfig) -> ResultTable:
 
 
 def cmd_arrival(cfg: RunConfig) -> ResultTable:
-    """Arrival density, flux, and their window summary for one packet."""
+    """Arrival density, flux, and their window summary for one packet.
+
+    The window is the symmetric lattice t_center + dt·k, |k| ≤ K, widened
+    until its captured mass converges; density and flux come from the same
+    single pass over its samples."""
     p = cfg.params
     grid = momentum_grid(p["p_max"], p["n_p"])
     state = gaussian_momentum_state(grid, p0=p["p0"], x0=p["x0"],
                                     sigma_p=p["sigma_p"])
-    dist = converged_density(state, t_center=p["t_center"],
-                             half_width=p["half_width"], dt=p["dt"],
-                             x_arrival=p["x_arrival"])
-    current = current_density_at_origin(state, dist.t,
-                                        x_arrival=p["x_arrival"])
+    dist, current = _converged_window(state, t_center=p["t_center"],
+                                      half_width=p["half_width"], dt=p["dt"],
+                                      x_arrival=p["x_arrival"])
 
     cols = ["t", "density", "right_part", "left_part", "current"]
     series = [dist.t, dist.density, dist.right_part, dist.left_part, current]

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import DomainError, simpson_weights
+from .qcore import DomainError, _check_time, simpson_weights
 
 NEUMANN = "neumann"
 
@@ -195,6 +195,7 @@ def spectral_evolve_line(psi: WaveFunction, t: float,
                          mass: float = 1.0, hbar: float = 1.0) -> WaveFunction:
     """Free evolution by phase e^{-ip²t/2mħ}; exact dispersion on the grid,
     valid for either sign of t."""
+    _check_time(t)
     if psi.representation == "momentum":
         p = psi.grid.x
         out = psi.samples * np.exp(-1j * p ** 2 * t / (2 * mass * hbar))
@@ -514,8 +515,7 @@ def restricted_propagate(psi_half: WaveFunction, sys: HalfLineSystem, t: float,
     Forward evolution only; set reverse=True for the documented time-reversed
     branch exp(+iH_β t/ħ).
     """
-    if t < 0:
-        raise ValueError("t must be >= 0; use reverse=True for backward evolution")
+    _check_time(t, nonnegative=True)
     if psi_half.grid != sys.half_grid():
         raise ValueError("state grid does not match the half-line system")
     t_eff = -t if reverse else t

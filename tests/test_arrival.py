@@ -11,6 +11,8 @@ Oracles used here:
   * variance addition under Gaussian smearing: var → var + τ²
   * stationary-phase scaling: arrival-time spread ∝ position spread for
     narrow momentum packets (log-log slope ≈ 1)
+  * the phase kernel against a direct table e^{-iE·t} of exponentials, and
+    the nested widening against fresh evaluations on its final window
 """
 
 import math
@@ -33,6 +35,8 @@ from zenopath.arrival import (
     smeared_density,
     superposition_state,
 )
+from zenopath import arrival
+from zenopath.arrival import _converged_window, _phase_apply, _weights
 from zenopath.qcore import DomainError
 
 P_GRID = momentum_grid(8.0, 1024)
@@ -278,6 +282,13 @@ class TestCurrentDensity:
                                       np.linspace(-60.0, -55.0, 11))
         assert np.max(np.abs(j)) <= 1e-6
 
+    @pytest.mark.parametrize("t", [
+        np.array([0.0, 1.0, 3.0]), np.array([0.0, np.nan, 2.0]),
+        np.array([0.0, 1.0, np.inf]), np.array([2.0, 1.0, 0.0])])
+    def test_bad_time_grid_rejected(self, t):
+        with pytest.raises(ValueError, match="time grid must be"):
+            current_density_at_origin(arrival_packet(), t)
+
     def test_interference_drives_flux_negative(self):
         # two right-moving components timed to overlap at the origin: the
         # flux undershoots zero while the arrival density stays nonnegative
@@ -349,6 +360,14 @@ class TestConvergedDensity:
         with pytest.raises(ValueError, match="must be positive and finite"):
             converged_density(arrival_packet(), **kwargs)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"growth": 0.9}, "growth"), ({"growth": math.nan}, "growth"),
+        ({"t_center": math.nan}, "t_center"), ({"t_center": math.inf}, "t_center"),
+    ])
+    def test_bad_widening_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            converged_density(arrival_packet(), **kwargs)
+
     def test_exhausted_widening_raises_advisory(self):
         with pytest.raises(ConvergenceAdvisory, match="converge"):
             converged_density(arrival_packet(), max_rounds=1)
@@ -396,3 +415,51 @@ class TestFluxL1Distance:
         dist = converged_density(arrival_packet())
         with pytest.raises(ValueError, match="match"):
             flux_l1_distance(dist, np.zeros(3))
+
+
+class TestPhaseKernel:
+    def test_matches_direct_exponentials(self):
+        st = gaussian_momentum_state(momentum_grid(8.0, 8192), p0=2.0,
+                                     x0=-10.0, sigma_p=0.2)
+        w = _weights(st, 0.0)
+        k_max, t_center, dt = 4194, 10.0, 0.02
+        got = _phase_apply(st, w, t_center, dt, -k_max, 2 * k_max + 1)
+        t = t_center + dt * np.arange(-k_max, k_max + 1)
+        energy = st.p ** 2 / (2 * st.mass * st.hbar)
+        ref = np.concatenate([np.exp(-1j * np.outer(t[i:i + 512], energy)) @ w
+                              for i in range(0, t.size, 512)])
+        gap = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
+        assert np.max(gap) <= 1e-13
+
+    def slow_window(self, monkeypatch):
+        """The slow-tail packet's window, with every kernel call recorded."""
+        calls = []
+
+        def counted(state, weights, t0, dt, k0, n):
+            calls.append((t0, dt, k0, n))
+            return _phase_apply(state, weights, t0, dt, k0, n)
+
+        monkeypatch.setattr(arrival, "_phase_apply", counted)
+        st = gaussian_momentum_state(momentum_grid(8.0, 1024), p0=1.0,
+                                     x0=-10.0, sigma_p=0.2)
+        dist, current = _converged_window(st)
+        monkeypatch.undo()
+        return st, dist, current, calls
+
+    def test_widening_evaluates_each_sample_once(self, monkeypatch):
+        _, dist, _, calls = self.slow_window(monkeypatch)
+        assert len({(t0, dt) for t0, dt, _, _ in calls}) == 1
+        ks = np.sort(np.concatenate([k0 + np.arange(n)
+                                     for _, _, k0, n in calls]))
+        k_max = (dist.t.size - 1) // 2
+        assert len(calls) > 3
+        assert np.array_equal(ks, np.arange(-k_max, k_max + 1))
+
+    def test_window_matches_fresh_evaluation(self, monkeypatch):
+        st, dist, current, _ = self.slow_window(monkeypatch)
+        fresh = kijowski_density(st, dist.t)
+        for name in ("density", "right_part", "left_part"):
+            a, b = getattr(dist, name), getattr(fresh, name)
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(b), name
+        flux = current_density_at_origin(st, dist.t)
+        assert np.max(np.abs(current - flux)) <= 1e-13 * np.max(np.abs(flux))

@@ -379,6 +379,15 @@ class TestHistoriesCommand:
         assert "t must be" in proc.stderr
         assert not out.exists()
 
+    def test_sweep_past_the_horizon_refused(self, tmp_path):
+        # the default packet's reflection-safe horizon is 6.42
+        out = tmp_path / "x.csv"
+        proc = run_cli("histories", "--t-max", "7", "--out", str(out))
+        assert proc.returncode == 3
+        assert "reflection-safe horizon 6.419" in proc.stderr
+        assert "t = 7" in proc.stderr
+        assert not out.exists()
+
 
 class TestArrivalCommand:
     def test_summary_metadata(self, arrival_run):

@@ -220,6 +220,14 @@ class TestSpectralEvolve:
         e2 = to_position(spectral_evolve_line(to_momentum(w), 1.7), g)
         np.testing.assert_allclose(e1.samples, e2.samples, atol=1e-10)
 
+    def test_rejects_non_finite_time(self):
+        g = SpatialGrid(-40, 40, 256)
+        w = gaussian_packet(g, 2.0, -1.0, 1.2)
+        for psi in (w, to_momentum(w)):
+            for t in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="t must be finite"):
+                    spectral_evolve_line(psi, t)
+
     def test_backward_time_inverts(self):
         g = SpatialGrid(-40, 40, 2048)
         w = gaussian_packet(g, 2.0, -1.0, 1.2)
@@ -393,6 +401,18 @@ class TestRestrictedPropagate:
             restricted_propagate(w, other, 1.0)
         with pytest.raises(ValueError):
             restricted_propagate(w, s, 1.0, method="chebyshev")
+
+    def test_rejects_non_finite_time(self):
+        for beta, method in ((0.0, "images"), (NEUMANN, "images"),
+                             (0.7, "intertwine"), (-1.0, "intertwine")):
+            s = HalfLineSystem(L=40.0, n=512, beta=beta)
+            w = half_packet(s, 10.0, -1.0, 2.0, pin_wall=(beta == 0.0))
+            for t in (np.nan, np.inf, -np.inf):
+                for reverse in (False, True):
+                    with pytest.raises(ValueError,
+                                       match="t must be finite and >= 0"):
+                        restricted_propagate(w, s, t, method=method,
+                                             reverse=reverse)
         robin = HalfLineSystem(L=40.0, n=512, beta=0.7)
         wr = half_packet(robin, 10.0, -1.0, 2.0)
         with pytest.raises(ValueError):
