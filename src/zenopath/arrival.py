@@ -66,8 +66,8 @@ def momentum_grid(p_max: float, n: int) -> np.ndarray:
 
     n must be even so no node lands on p = 0.
     """
-    if p_max <= 0:
-        raise ValueError(f"p_max must be positive, got {p_max}")
+    if not (math.isfinite(p_max) and p_max > 0):
+        raise ValueError(f"p_max must be positive and finite, got {p_max}")
     if n < 8 or n % 2:
         raise ValueError(f"n must be even and >= 8, got {n}")
     dp = 2.0 * p_max / n
@@ -137,8 +137,11 @@ def gaussian_momentum_state(p: np.ndarray, p0: float, x0: float,
                             sigma_p: float, mass: float = 1.0,
                             hbar: float = 1.0) -> MomentumState:
     """ψ(p) ∝ exp(-(p-p₀)²/4σ_p² - ipx₀/ħ): width σ_p, launched from x₀."""
-    if sigma_p <= 0:
-        raise ValueError(f"sigma_p must be positive, got {sigma_p}")
+    for name, value in (("p0", p0), ("x0", x0)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not (math.isfinite(sigma_p) and sigma_p > 0):
+        raise ValueError(f"sigma_p must be positive and finite, got {sigma_p}")
     psi = np.exp(-((p - p0) ** 2) / (4 * sigma_p ** 2) - 1j * p * x0 / hbar)
     dp = p[1] - p[0]
     psi = psi / math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dp)
@@ -330,6 +333,8 @@ def _converged_window(state: MomentumState, t_center: float | None = None,
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if not growth >= 1:
         raise ValueError(f"growth must be >= 1, got {growth}")
+    if not math.isfinite(x_arrival):
+        raise ValueError(f"x_arrival must be finite, got {x_arrival}")
     if t_center is None:
         pbar = state.mean_momentum()
         if abs(pbar) < 1e-9:
@@ -384,8 +389,8 @@ def smeared_density(dist: ArrivalDistribution, tau: float) -> ArrivalDistributio
     truncation of the window, positivity and the component split survive
     the convolution exactly.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     dt = dist.dt
     half = max(int(math.ceil(6 * tau / dt)), 1)
     u = dt * np.arange(-half, half + 1)

@@ -20,7 +20,9 @@ Formats: CSV (comma separated, `#`-prefixed metadata, floats as %.11e) and
 JSON mirroring the CSV one-to-one under {metadata, columns, rows}.  A given
 configuration produces byte-identical output; `--parallel` evaluates
 independent sweep points concurrently but assembles rows in input order, so
-it never changes the bytes.
+it never changes the bytes.  The `pdx-verify --system line` ladder is one
+pass that shares its phase tables across rungs, so `--parallel` leaves it
+whole.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric precondition
 violation, 4 convergence advisory.
@@ -51,11 +53,12 @@ from .arrival import (
 )
 from .halfline import (
     NEUMANN,
+    GaussianPacket,
     HalfLineSystem,
     SpatialGrid,
     WaveFunction,
     gaussian_packet,
-    line_pdx_residual,
+    line_pdx_ladder,
 )
 from .histories import HistoryPair, history_row, reflection_safe_horizon
 from .qcore import (
@@ -381,7 +384,9 @@ def _fit_order(points, residuals) -> float:
 def cmd_pdx_verify(cfg: RunConfig) -> ResultTable:
     """Residual of the propagator split across a quadrature refinement
     ladder; metadata carries the fitted convergence order and a monotone
-    flag (a non-decreasing step is flagged in its row, not fatal)."""
+    flag (a non-decreasing step is flagged in its row, not fatal).  The
+    line ladder is one pass (`line_pdx_ladder`), so `--parallel` splits
+    only the two-state ladder."""
     p = cfg.params
     ladder = p["ladder"]
 
@@ -395,18 +400,18 @@ def cmd_pdx_verify(cfg: RunConfig) -> ResultTable:
             terms = pdx_assemble(ham, proj_up, p["t"], n_zeno=p["n_zeno"],
                                  n_quad=nq, ur="limit")
             return float((terms.total + (-1.0) * u).norm())
+
+        values = _ordered_map(resid, ladder, cfg.parallel)
     else:
         system = HalfLineSystem(L=p["length"], n=p["n_grid"], beta=p["beta"])
         g = system.full_grid()
-        raw = np.exp(-((g.x - p["x0"]) ** 2) / (4 * p["sigma"] ** 2)
-                     + 1j * p["p0"] * g.x)
+        packet = GaussianPacket(p["x0"], p["p0"], p["sigma"])
+        raw = np.exp(-((g.x - packet.x0) ** 2) / (4 * packet.sigma ** 2)
+                     + 1j * packet.p0 * g.x)
         raw[g.x < 0] = 0.0
         psi = WaveFunction(g, raw).normalized()
+        values = line_pdx_ladder(psi, system, p["t"], ladder)
 
-        def resid(nq: int) -> float:
-            return float(line_pdx_residual(psi, system, p["t"], n_quad=nq))
-
-    values = _ordered_map(resid, ladder, cfg.parallel)
     rows = []
     for lvl, (nq, r) in enumerate(zip(ladder, values)):
         decreased = lvl == 0 or r < values[lvl - 1]
@@ -458,6 +463,9 @@ def cmd_arrival(cfg: RunConfig) -> ResultTable:
     until its captured mass converges; density and flux come from the same
     single pass over its samples."""
     p = cfg.params
+    if not (math.isfinite(p["smear_tau"]) and p["smear_tau"] >= 0):
+        raise ValueError("smear_tau must be finite and >= 0 (0 disables "
+                         f"the smeared column), got {p['smear_tau']}")
     grid = momentum_grid(p["p_max"], p["n_p"])
     state = gaussian_momentum_state(grid, p0=p["p0"], x0=p["x0"],
                                     sigma_p=p["sigma_p"])

@@ -101,6 +101,8 @@ class WaveFunction:
 
     def normalized(self) -> "WaveFunction":
         nrm = self.norm()
+        if not np.isfinite(nrm):
+            raise ValueError("cannot normalise a state with non-finite samples")
         if nrm < 1e-14:
             raise DomainError("cannot normalise a (near) null state")
         return WaveFunction(self.grid, self.samples / nrm, self.representation)
@@ -121,8 +123,11 @@ class GaussianPacket:
     parity: str | None = None
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        for name, value in (("x0", self.x0), ("p0", self.p0)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.parity not in (None, "even", "odd"):
             raise ValueError(f"parity must be None, 'even' or 'odd', got {self.parity!r}")
 
@@ -238,8 +243,8 @@ class HalfLineSystem:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError(f"L must be positive, got {self.L}")
+        if not (np.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"L must be positive and finite, got {self.L}")
         if self.n < 8:
             raise ValueError(f"n must be >= 8, got {self.n}")
         if self.mass <= 0 or self.hbar <= 0:
@@ -610,12 +615,37 @@ def line_pdx_terms(psi: WaveFunction, sys: HalfLineSystem, t: float,
       precisely where the oscillation e^{-iħk²u²/2m} outruns any quadrature.
 
     k_cut defaults to the largest wavenumber the θ grid resolves
-    (phase step ≤ 0.4 rad); pass a value to override.
+    (phase step ≤ 0.4 rad); pass a value to override.  The phase table
+    e^{-iħk²u²/2m} is built over |k| only (k² is even), and the wall values
+    a(s), b(s) at s = t - u² are read through it.  This is the one-rung
+    case of `line_pdx_ladder`.
     """
+    return _line_pdx_parts(psi, sys, t, [n_quad], k_cut, support_tol)[0]
+
+
+def line_pdx_ladder(psi: WaveFunction, sys: HalfLineSystem, t: float,
+                    ladder: list[int], k_cut: float | None = None) -> list[float]:
+    """`line_pdx_residual` for every n_quad of a refinement ladder, in one
+    pass: U(t)ψ, U_r^β(t)ψ and the wall probe are computed once, and a rung
+    whose θ nodes are a strided subset of a finer rung's reads that rung's
+    phase table and wall values instead of building its own.  The whole
+    ladder is validated before any work."""
+    return [parts.residual_norm(sys.dx)
+            for parts in _line_pdx_parts(psi, sys, t, ladder, k_cut)]
+
+
+def _line_pdx_parts(psi: WaveFunction, sys: HalfLineSystem, t: float,
+                    ladder: list[int], k_cut: float | None = None,
+                    support_tol: float = 1e-6) -> list[LinePdxParts]:
+    """The line split for each n_quad of `ladder`, in ladder order."""
     if not (np.isfinite(t) and t > 0):
         raise ValueError(f"t must be positive and finite, got {t}")
-    if n_quad < 2 or n_quad % 2:
-        raise ValueError(f"n_quad must be even and >= 2, got {n_quad}")
+    ladder = list(ladder)
+    if not ladder:
+        raise ValueError("the ladder needs at least one n_quad")
+    for n_quad in ladder:
+        if n_quad < 2 or n_quad % 2:
+            raise ValueError(f"n_quad must be even and >= 2, got {n_quad}")
     if psi.representation != "position" or psi.grid != sys.full_grid():
         raise ValueError("psi must be a position state on the system's full grid")
     n, dx = sys.n, sys.dx
@@ -629,44 +659,24 @@ def line_pdx_terms(psi: WaveFunction, sys: HalfLineSystem, t: float,
     g = psi.grid
     k = g.k
     k_nyq = np.pi / dx
-    if k_cut is None:
-        # phase step (ħk²t/2m)·(π/2n_quad)·|sin 2θ| ≤ 0.4 rad within the zone
-        k_cut = np.sqrt(0.4 * (4 / np.pi) * n_quad * mass / (hbar * t))
-    k_cut = float(min(k_cut, 0.9 * k_nyq))
-
-    theta = np.linspace(0.0, np.pi / 2, n_quad + 1)
-    u = np.sqrt(t) * np.sin(theta)
-    w_simp = simpson_weights(n_quad + 1, theta[1] - theta[0])
-    wj = w_simp * t * np.sin(2 * theta)    # ds = t·sin2θ dθ under s = t·cos²θ
-    s_nodes = t - u ** 2
-
-    # The one phase table: the crossing needs e^{-iħk²u²/2m}, the wall
-    # values at s = t - u² the conjugate times tail = e^{-iħk²t/2m}.
-    disp = np.exp(-1j * hbar * np.outer(u ** 2, k ** 2) / (2 * mass))
     mu = hbar * k ** 2 / (2 * mass)
     tail = np.exp(-1j * mu * t)
-    coef, null = _wall_probe(samples[n:], sys)
-    a_s, b_s = (np.conj(np.conj(tail * coef) @ disp.T)
-                + np.outer(null, _null_phase(sys, s_nodes)))
-
-    src_quad = (wj * b_s) @ disp + 1j * k * ((wj * a_s) @ disp)
-
-    # Endpoint asymptotics: s_nodes runs t -> 0, so f(t)=f[0], f(0)=f[-1].
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(mu > 0, 1.0 / np.where(mu > 0, mu, 1.0), 0.0)
-    i_b = (b_s[0] - b_s[-1] * tail) * inv / 1j
-    i_a = (a_s[0] - a_s[-1] * tail) * inv / 1j
-    src_asym = i_b + 1j * k * i_a
 
-    w_q = _raised_cosine_window(k, 0.7 * k_cut, k_cut)
-    source = w_q * src_quad + (1.0 - w_q) * src_asym
-    guard = _raised_cosine_window(k, 0.85 * k_nyq, 0.95 * k_nyq)
+    # k² is even: mode m shares its phase column with mode 2n - m, so the
+    # table runs over |k| (columns 0..n) and `fold` maps each mode to its
+    # column.  The wall rows are summed over each ±k pair before the product.
+    fold = np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n))
+    coef, null = _wall_probe(samples[n:], sys)
+    probe = np.conj(tail * coef)
+    folded = probe[:, :n + 1].copy()
+    folded[:, 1:n] += probe[:, :n:-1]
 
     delta = np.zeros(g.n, dtype=complex)
     delta[n] = 1.0 / dx
-    d_spec = np.fft.fft(delta)
-    chi_spec = (1j * hbar / (2 * mass)) * guard * d_spec * source
-    crossing = np.fft.ifft(chi_spec)
+    guard = _raised_cosine_window(k, 0.85 * k_nyq, 0.95 * k_nyq)
+    to_chi = (1j * hbar / (2 * mass)) * guard * np.fft.fft(delta)
 
     evolved = spectral_evolve_line(psi, t, mass, hbar).samples
     restricted = np.zeros(g.n, dtype=complex)
@@ -674,9 +684,63 @@ def line_pdx_terms(psi: WaveFunction, sys: HalfLineSystem, t: float,
     restricted[n:] = restricted_propagate(half, sys, t,
                                           method=production_route(sys)).samples
 
-    return LinePdxParts(evolved=evolved, crossing=crossing,
-                        restricted=restricted, k_cut=k_cut,
-                        n_quad=n_quad)
+    # Finest rung first: a rung whose θ nodes are every N/n_quad-th node of
+    # a built rung N reads N's rows; any other rung builds its own.
+    built: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    parts: dict[int, LinePdxParts] = {}
+    for n_quad in sorted(set(ladder), reverse=True):
+        theta = np.linspace(0.0, np.pi / 2, n_quad + 1)
+        for fine, table, walls in built:
+            stride = (fine.size - 1) // n_quad
+            if (fine.size - 1) % n_quad == 0 \
+                    and np.array_equal(fine[::stride], theta):
+                table, walls = table[::stride], walls[:, ::stride]
+                break
+        else:
+            table, walls = _quadrature_rows(theta, t, k[:n + 1], sys, folded,
+                                            null)
+            built.append((theta, table, walls))
+        a_s, b_s = walls
+        w_simp = simpson_weights(n_quad + 1, theta[1] - theta[0])
+        wj = w_simp * t * np.sin(2 * theta)   # ds = t·sin2θ dθ under s = t·cos²θ
+        quad_b, quad_a = (np.array([wj * b_s, wj * a_s]) @ table)[:, fold]
+        src_quad = quad_b + 1j * k * quad_a
+
+        # Endpoint asymptotics: s runs t -> 0, so f(t)=f[0], f(0)=f[-1].
+        i_b = (b_s[0] - b_s[-1] * tail) * inv / 1j
+        i_a = (a_s[0] - a_s[-1] * tail) * inv / 1j
+        src_asym = i_b + 1j * k * i_a
+
+        if k_cut is None:
+            # phase step (ħk²t/2m)·(π/2n_quad)·|sin 2θ| ≤ 0.4 rad in the zone
+            rung_cut = np.sqrt(0.4 * (4 / np.pi) * n_quad * mass / (hbar * t))
+        else:
+            rung_cut = k_cut
+        rung_cut = float(min(rung_cut, 0.9 * k_nyq))
+        w_q = _raised_cosine_window(k, 0.7 * rung_cut, rung_cut)
+        source = w_q * src_quad + (1.0 - w_q) * src_asym
+        parts[n_quad] = LinePdxParts(evolved=evolved,
+                                     crossing=np.fft.ifft(to_chi * source),
+                                     restricted=restricted, k_cut=rung_cut,
+                                     n_quad=n_quad)
+    return [parts[n_quad] for n_quad in ladder]
+
+
+def _quadrature_rows(theta: np.ndarray, t: float, k_half: np.ndarray,
+                     sys: HalfLineSystem, folded: np.ndarray,
+                     null: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phase table e^{-iħk²u²/2m} over |k| at u = √t·sin θ, and the wall
+    values [a; b] at s = t - u² read through it from the folded probe rows:
+    they need the conjugate table times e^{-iħk²t/2m}, which `folded`
+    already carries."""
+    u = np.sqrt(t) * np.sin(theta)
+    phase = np.outer(u ** 2, k_half ** 2) * (-sys.hbar / (2 * sys.mass))
+    table = np.empty(phase.shape, dtype=complex)    # cos + i·sin, faster
+    np.cos(phase, out=table.real)                   # than a complex exp
+    np.sin(phase, out=table.imag)
+    walls = (np.conj(folded @ table.T)
+             + np.outer(null, _null_phase(sys, t - u ** 2)))
+    return table, walls
 
 
 def _raised_cosine_window(k: np.ndarray, k_pass: float, k_stop: float) -> np.ndarray:
@@ -724,5 +788,4 @@ def _wall_probe(h0: np.ndarray, sys: HalfLineSystem) -> tuple[np.ndarray, np.nda
 def line_pdx_residual(psi: WaveFunction, sys: HalfLineSystem, t: float,
                       n_quad: int = 400, k_cut: float | None = None) -> float:
     """‖U(t)ψ - [crossing + U_r^β(t)ψ]‖ over the full grid."""
-    parts = line_pdx_terms(psi, sys, t, n_quad=n_quad, k_cut=k_cut)
-    return parts.residual_norm(sys.dx)
+    return line_pdx_ladder(psi, sys, t, [n_quad], k_cut)[0]

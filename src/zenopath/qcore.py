@@ -174,6 +174,8 @@ class DecoherenceMatrix:
 
     def is_consistent(self, rel_tol: float = 1e-6) -> bool:
         """Interference is negligible against the branch probabilities."""
+        if not (np.isfinite(rel_tol) and rel_tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {rel_tol}")
         scale = max(self.d11, self.d22, 1e-30)
         return abs(self.d12.real) <= rel_tol * scale
 
@@ -449,6 +451,10 @@ class TwoStateSystem:
 
     omega: float
     hbar: float = 1.0
+
+    def __post_init__(self):
+        if not np.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
 
     def hamiltonian(self) -> Operator:
         return Operator(self.hbar * self.omega *

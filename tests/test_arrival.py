@@ -402,8 +402,9 @@ class TestSmearedDensity:
 
     def test_width_validation(self):
         dist = converged_density(arrival_packet())
-        with pytest.raises(ValueError, match="tau"):
-            smeared_density(dist, 0.0)
+        for tau in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau"):
+                smeared_density(dist, tau)
 
 
 class TestFluxL1Distance:

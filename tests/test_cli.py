@@ -317,6 +317,18 @@ class TestPdxVerifyCommand:
         assert column(columns, rows, "residual")[0] <= 1e-6
         assert meta["fitted_order"] == "nan"
 
+    def test_line_ladder_checked_before_any_rung(self, tmp_path, monkeypatch):
+        from zenopath import cli, halfline
+
+        calls = []
+        evolve = halfline.spectral_evolve_line
+        monkeypatch.setattr(halfline, "spectral_evolve_line",
+                            lambda *a, **kw: calls.append(1) or evolve(*a, **kw))
+        out = tmp_path / "x.csv"
+        assert cli.main(["pdx-verify", "--system", "line", "--ladder",
+                         "100,101", "--out", str(out)]) == 3
+        assert calls == [] and not out.exists()
+
     def test_bad_system_choice(self, tmp_path):
         proc = run_cli("pdx-verify", "--system", "ring", "--out",
                        str(tmp_path / "x.csv"))
@@ -473,6 +485,16 @@ class TestDeterminism:
         assert proc.returncode == 0, proc.stderr
         assert a.read_bytes() == b.read_bytes()
 
+    def test_line_ladder_parallel_does_not_change_bytes(self, tmp_path):
+        # the line ladder is one pass, which --parallel leaves whole
+        a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        args = ("pdx-verify", "--system", "line", "--beta", "-0.7")
+        proc = run_cli(*args, "--out", str(a))
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli(*args, "--parallel", "--out", str(b))
+        assert proc.returncode == 0, proc.stderr
+        assert a.read_bytes() == b.read_bytes()
+
     def test_metadata_lines_round_trip_as_config(self, tmp_path):
         first = tmp_path / "first.csv"
         proc = run_cli("twostate", "--n-zeno", "2000", "--out", str(first))
@@ -522,6 +544,36 @@ class TestResolutionAndLayout:
         proc = run_cli(command, "--t", value, "--out", str(out))
         assert proc.returncode == 3
         assert "t must be finite" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not out.exists()
+
+    # NaN passes a sign check, so each input needs a finiteness check that
+    # names it; without one the run writes NaN rows or fails later elsewhere
+    @pytest.mark.parametrize("argv, message", [
+        (("pdx-verify", "--system", "line", "--x0", "nan"), "x0 must be finite"),
+        (("pdx-verify", "--system", "line", "--p0", "nan"), "p0 must be finite"),
+        (("pdx-verify", "--system", "line", "--sigma", "nan"),
+         "sigma must be positive and finite"),
+        (("pdx-verify", "--system", "line", "--length", "nan"),
+         "L must be positive and finite"),
+        (("twostate", "--omega", "nan"), "omega must be finite"),
+        (("histories", "--sigma", "nan"), "sigma must be positive and finite"),
+        (("histories", "--tol", "nan"), "tol must be finite"),
+        (("arrival", "--smear-tau", "nan"), "smear_tau must be finite"),
+        (("arrival", "--p0", "nan"), "p0 must be finite"),
+        (("arrival", "--x0", "nan"), "x0 must be finite"),
+        (("arrival", "--sigma-p", "nan"), "sigma_p must be positive and finite"),
+        (("arrival", "--p-max", "nan"), "p_max must be positive and finite"),
+        (("arrival", "--x-arrival", "nan"), "x_arrival must be finite"),
+    ], ids=["line-x0", "line-p0", "line-sigma", "line-length", "twostate-omega",
+            "histories-sigma", "histories-tol", "arrival-smear-tau",
+            "arrival-p0", "arrival-x0", "arrival-sigma-p", "arrival-p-max",
+            "arrival-x-arrival"])
+    def test_non_finite_inputs_rejected(self, tmp_path, argv, message):
+        out = tmp_path / "x.csv"
+        proc = run_cli(*argv, "--out", str(out))
+        assert proc.returncode == 3
+        assert message in proc.stderr
         assert "Warning" not in proc.stderr
         assert not out.exists()
 

@@ -14,6 +14,8 @@ Oracles used here:
   * parity identities making the crossing term computable exactly from two
     full-line spectral evolutions (odd state at the hard wall, even state
     at the reflecting wall)
+  * a per-rung line split with the full 2n-column phase table as the
+    oracle for the one-pass ladder (half spectrum, strided nested rungs)
 """
 
 import numpy as np
@@ -33,6 +35,7 @@ from zenopath.halfline import (
     halfline_eigensystem,
     halfline_norm,
     image_method_propagate,
+    line_pdx_ladder,
     line_pdx_residual,
     line_pdx_terms,
     phq_nonzero_check,
@@ -43,8 +46,9 @@ from zenopath.halfline import (
     to_position,
     wall_flux,
 )
-from zenopath.halfline import _linear_scan, _wall_probe
-from zenopath.qcore import DomainError
+from zenopath import halfline
+from zenopath.halfline import _line_pdx_parts, _linear_scan, _wall_probe
+from zenopath.qcore import DomainError, simpson_weights
 
 
 def gauss_exact(x, t, x0, p0, sigma, m=1.0, hbar=1.0):
@@ -145,6 +149,13 @@ class TestGaussianPacket:
     def test_validation(self):
         with pytest.raises(ValueError):
             GaussianPacket(0.0, 0.0, -1.0)
+        for args, name in (((np.nan, 0.0, 1.0), "x0"), ((0.0, np.inf, 1.0), "p0"),
+                           ((0.0, 0.0, np.nan), "sigma"),
+                           ((0.0, 0.0, np.inf), "sigma")):
+            with pytest.raises(ValueError, match=name):
+                GaussianPacket(*args)
+        with pytest.raises(ValueError, match="non-finite"):
+            WaveFunction(SpatialGrid(0.0, 30, 64), np.full(64, np.nan)).normalized()
         with pytest.raises(ValueError):
             GaussianPacket(0.0, 0.0, 1.0, parity="sideways")
         g = SpatialGrid(0.0, 30, 1024)
@@ -680,3 +691,111 @@ class TestLinePdx:
         half = WaveFunction(s.half_grid(), psi.samples[s.n:])
         with pytest.raises(ValueError):
             line_pdx_terms(half, s, 1.0)
+
+
+def per_rung_line_split(psi, s, t, n_quad, k_cut=None):
+    """One rung of the line split with its own full 2n-column phase table
+    e^{-iħk²u²/2m}: (crossing, residual)."""
+    n, dx = s.n, s.dx
+    k = s.full_grid().k
+    k_nyq = np.pi / dx
+    if k_cut is None:
+        k_cut = np.sqrt(0.4 * (4 / np.pi) * n_quad / t)
+    k_cut = min(k_cut, 0.9 * k_nyq)
+
+    def window(k_pass, k_stop):
+        ramp = np.clip((np.abs(k) - k_pass) / (k_stop - k_pass), 0.0, 1.0)
+        return 0.5 * (1 + np.cos(np.pi * ramp))
+
+    theta = np.linspace(0.0, np.pi / 2, n_quad + 1)
+    u = np.sqrt(t) * np.sin(theta)
+    wj = simpson_weights(n_quad + 1, theta[1] - theta[0]) * t * np.sin(2 * theta)
+    disp = np.exp(-0.5j * np.outer(u ** 2, k ** 2))
+    mu = k ** 2 / 2
+    tail = np.exp(-1j * mu * t)
+    coef, null = _wall_probe(psi.samples[n:], s)
+    phase = 1.0 if s.is_neumann or s.beta >= 0 \
+        else np.exp(1j * (t - u ** 2) / (2 * s.beta ** 2))
+    a, b = (np.conj(np.conj(tail * coef) @ disp.T)
+            + np.outer(null, np.broadcast_to(phase, u.shape)))
+    src_quad = (wj * b) @ disp + 1j * k * ((wj * a) @ disp)
+    inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=mu > 0)
+    src_asym = ((b[0] - b[-1] * tail) + 1j * k * (a[0] - a[-1] * tail)) \
+        * inv / 1j
+    w_q = window(0.7 * k_cut, k_cut)
+    source = w_q * src_quad + (1.0 - w_q) * src_asym
+    delta = np.zeros(2 * n)
+    delta[n] = 1.0 / dx
+    crossing = np.fft.ifft(0.5j * window(0.85 * k_nyq, 0.95 * k_nyq)
+                           * np.fft.fft(delta) * source)
+    restricted = np.zeros(2 * n, dtype=complex)
+    half = WaveFunction(s.half_grid(), psi.samples[n:])
+    restricted[n:] = restricted_propagate(half, s, t,
+                                          method=production_route(s)).samples
+    r = spectral_evolve_line(psi, t).samples - crossing - restricted
+    return crossing, float(np.sqrt(np.sum(np.abs(r) ** 2) * dx))
+
+
+class TestLinePdxLadder:
+    @pytest.mark.parametrize("ladder", [[100, 200, 400], [100, 150, 400]],
+                             ids=["nested", "not-nested"])
+    @pytest.mark.parametrize("beta", [0.0, NEUMANN, 0.7, -0.7, 13.0])
+    def test_matches_per_rung_full_table(self, beta, ladder):
+        s = HalfLineSystem(L=40.0, n=1024, beta=beta)
+        psi = right_packet(s, 6.0, -1.0, 1.0)
+        self._check(psi, s, 1.5, ladder, None)
+
+    def test_explicit_k_cut_applies_to_every_rung(self):
+        s = HalfLineSystem(L=40.0, n=1024, beta=0.7)
+        psi = right_packet(s, 6.0, -1.0, 1.0)
+        parts = self._check(psi, s, 1.5, [100, 200, 400], 8.0)
+        assert [p.k_cut for p in parts] == [8.0] * 3
+
+    @staticmethod
+    def _check(psi, s, t, ladder, k_cut):
+        residuals = line_pdx_ladder(psi, s, t, ladder, k_cut=k_cut)
+        parts = _line_pdx_parts(psi, s, t, ladder, k_cut)
+        assert [p.n_quad for p in parts] == ladder
+        for nq, r, p in zip(ladder, residuals, parts):
+            chi, ref = per_rung_line_split(psi, s, t, nq, k_cut)
+            assert abs(r - ref) <= 1e-12 * ref, (nq, r, ref)
+            assert np.max(np.abs(p.crossing - chi)) \
+                <= 1e-12 * np.max(np.abs(chi)), nq
+        return parts
+
+    @pytest.mark.parametrize("ladder, tables", [([100, 200, 400], 1),
+                                                ([100, 150, 400], 2)])
+    def test_shared_work_per_ladder(self, monkeypatch, ladder, tables):
+        s = HalfLineSystem(L=40.0, n=1024, beta=NEUMANN)
+        psi = right_packet(s, 6.0, -1.0, 1.0)
+        calls = {"evolve": 0, "restricted": 0, "table": 0}
+
+        def counting(name, fn, of_psi=False):
+            def wrapped(*args, **kwargs):
+                if not of_psi or args[0] is psi:
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        # U(t)ψ counts only the calls on ψ itself: the image route evolves
+        # its own extension through the same function
+        monkeypatch.setattr(halfline, "spectral_evolve_line",
+                            counting("evolve", spectral_evolve_line, True))
+        monkeypatch.setattr(halfline, "restricted_propagate",
+                            counting("restricted", restricted_propagate))
+        monkeypatch.setattr(halfline, "_quadrature_rows",
+                            counting("table", halfline._quadrature_rows))
+        line_pdx_ladder(psi, s, 1.5, ladder)
+        assert calls == {"evolve": 1, "restricted": 1, "table": tables}
+
+    def test_whole_ladder_checked_first(self, monkeypatch):
+        s = HalfLineSystem(L=40.0, n=512, beta=0.0)
+        psi = right_packet(s, 6.0, -1.0, 1.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the ladder was checked")
+
+        monkeypatch.setattr(halfline, "spectral_evolve_line", refuse)
+        for bad in ([100, 101], [100, 0], []):
+            with pytest.raises(ValueError, match="n_quad"):
+                line_pdx_ladder(psi, s, 1.5, bad)

@@ -105,6 +105,9 @@ class TestConsistencyVerdict:
             for tol in (1e-6, 1e-3):
                 assert (ConsistencyVerdict.from_matrix(dm, tol).consistent
                         == dm.is_consistent(tol))
+        for tol in (np.nan, np.inf, -1e-3):
+            with pytest.raises(ValueError, match="tol"):
+                ConsistencyVerdict.from_matrix(ok, tol)
 
     def test_null_matrix_is_consistent(self):
         v = ConsistencyVerdict.from_matrix(
