@@ -153,8 +153,8 @@ def superposition_state(p: np.ndarray, components, mass: float = 1.0,
     """Normalized Σ c·exp(-(p-p₀)²/4σ_p² - ipx₀/ħ) over (c, p₀, x₀, σ_p)."""
     psi = np.zeros(np.shape(p), dtype=complex)
     for c, p0, x0, sigma_p in components:
-        if sigma_p <= 0:
-            raise ValueError(f"sigma_p must be positive, got {sigma_p}")
+        if not (math.isfinite(sigma_p) and sigma_p > 0):
+            raise ValueError(f"sigma_p must be positive and finite, got {sigma_p}")
         psi += c * np.exp(-((p - p0) ** 2) / (4 * sigma_p ** 2)
                           - 1j * p * x0 / hbar)
     dp = p[1] - p[0]

@@ -427,6 +427,8 @@ def cmd_pdx_verify(cfg: RunConfig) -> ResultTable:
 def cmd_histories(cfg: RunConfig) -> ResultTable:
     """Consistency sweep of the stays/crosses pair over durations."""
     p = cfg.params
+    if not (math.isfinite(p["length"]) and p["length"] > 0):
+        raise ValueError(f"length must be positive and finite, got {p['length']}")
     grid = SpatialGrid(-p["length"], p["length"], p["n_grid"])
     parity = None if p["parity"] == "none" else p["parity"]
     psi = gaussian_packet(grid, p["x0"], p["p0"], p["sigma"], parity=parity)

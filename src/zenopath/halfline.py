@@ -49,6 +49,9 @@ class SpatialGrid:
     n: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
+            raise ValueError("grid endpoints must be finite, got "
+                             f"[{self.x_min}, {self.x_max}]")
         if not self.x_min < self.x_max:
             raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n < 8:

@@ -208,7 +208,12 @@ def _hermitian(H) -> np.ndarray:
 
 def _propagator(H, hbar: float) -> Callable[[float], np.ndarray]:
     """τ ↦ exp(-iHτ/ħ) from one eigendecomposition of hermitian H."""
-    evals, vecs = np.linalg.eigh(_hermitian(H))
+    return _eigen_propagator(*np.linalg.eigh(_hermitian(H)), hbar)
+
+
+def _eigen_propagator(evals: np.ndarray, vecs: np.ndarray,
+                      hbar: float) -> Callable[[float], np.ndarray]:
+    """τ ↦ exp(-iHτ/ħ) from H = V diag(λ) V†, given as (λ, V)."""
 
     def u_of(tau: float) -> np.ndarray:
         return (vecs * np.exp(-1j * evals * (tau / hbar))) @ vecs.conj().T
@@ -271,6 +276,18 @@ def decomposition_of_unity_residual(H, P, schedule: ZenoSchedule,
     return float(np.linalg.norm(np.eye(p.shape[0]) - total, 2))
 
 
+def _zeno_power(u_of: Callable[[float], np.ndarray], q: np.ndarray,
+                dt: float, n: int) -> np.ndarray:
+    """Q [U(dt) Q]ⁿ with a logarithmic number of products; Q itself for n = 0.
+
+    The one Zeno-product kernel: callers decompose H and check Q once and
+    hand in the propagator, so repeated products share both.
+    """
+    if n == 0:
+        return q.astype(complex)
+    return q @ np.linalg.matrix_power(u_of(dt) @ q, n)
+
+
 def zeno_product(H, Q, schedule: ZenoSchedule, hbar: float = 1.0) -> Operator:
     """Finite-n Zeno approximant U(nδt) Q(nδt) ··· Q(δt) Q of U_r(t).
 
@@ -278,12 +295,9 @@ def zeno_product(H, Q, schedule: ZenoSchedule, hbar: float = 1.0) -> Operator:
     Q [U(δt) Q]ⁿ, evaluated with a logarithmic number of matrix products.
     For n = 0 the product degenerates to Q itself.
     """
-    h = _as_matrix(H)
     q = _check_projector(Q, "Q")
-    if schedule.n == 0:
-        return Operator(q)
-    step = evolve(h, schedule.dt, hbar).mat @ q
-    return Operator(q @ np.linalg.matrix_power(step, schedule.n))
+    u_of = _propagator(H, hbar)
+    return Operator(_zeno_power(u_of, q, schedule.dt, schedule.n))
 
 
 def restricted_limit(H, Q, t: float, hbar: float = 1.0) -> Operator:
@@ -298,11 +312,18 @@ def restricted_limit(H, Q, t: float, hbar: float = 1.0) -> Operator:
     return Operator(_restricted_generator(h, q, hbar)(t))
 
 
+def _richardson(u_of: Callable[[float], np.ndarray], q: np.ndarray,
+                t: float, n: int) -> np.ndarray:
+    """2·Z(2n) - Z(n) from one propagator and one checked Q."""
+    z_n = _zeno_power(u_of, q, ZenoSchedule(t, n).dt, n)
+    z_2n = _zeno_power(u_of, q, ZenoSchedule(t, 2 * n).dt, 2 * n)
+    return 2.0 * z_2n - z_n
+
+
 def zeno_limit_richardson(H, Q, t: float, n: int, hbar: float = 1.0) -> Operator:
     """Richardson step in 1/n: 2·Z(2n) - Z(n) cancels the leading Zeno error."""
-    z_n = zeno_product(H, Q, ZenoSchedule(t, n), hbar)
-    z_2n = zeno_product(H, Q, ZenoSchedule(t, 2 * n), hbar)
-    return 2.0 * z_2n - z_n
+    q = _check_projector(Q, "Q")
+    return Operator(_richardson(_propagator(H, hbar), q, t, n))
 
 
 def pdx_assemble(H, P, t: float, n_zeno: int, n_quad: int,
@@ -310,9 +331,21 @@ def pdx_assemble(H, P, t: float, n_zeno: int, n_quad: int,
     """Assemble boundary, crossing, and restricted terms of the propagator split.
 
     The crossing convolution ∫₀ᵗ ds U(t-s) Ṗ U_r(s) uses composite Simpson on
-    n_quad uniformly spaced nodes (n_quad odd).  U_r(s) comes from the Zeno
-    product with interval count scaled as n_zeno·s/t, keeping the slice width
-    fixed across nodes (ur="zeno"), or from the generator form (ur="limit").
+    the n_quad uniformly spaced nodes s_j = t·j/N, N = n_quad - 1 (n_quad
+    odd).  With ur="zeno", U_r reads one slice lattice of width δ = t/n_zeno:
+    node j takes m_j = ⌊n_zeno·j/N⌋ whole slices (integer arithmetic) and,
+    when the remainder r_j is non-zero, one partial slice of width
+    t·r_j/(n_zeno·N) applied last,
+
+        U_r(s_j) = Q U(t·r_j/(n_zeno·N)) Q·S^{m_j},   S = U(δ) Q,
+
+    so the restricted term U_r(t) = Q·S^{n_zeno} is the n_zeno-slice
+    `zeno_product`.  Q·S^{m_j} is carried from node to node by one of the two
+    block powers S^{⌊n_zeno/N⌋} and S^{⌊n_zeno/N⌋+1}.  With ur="limit" the
+    same loop carries the generator block Q exp(-i QHQ t/(Nħ)) Q, one per
+    node.  The sum runs in H's eigenbasis (H = V diag(λ) V†) by Horner,
+    Y_j = e^{-iλt/(Nħ)} ⊙ Y_{j-1} + w_j·V†Ṗ·U_r(s_j), and crossing = V·Y_N:
+    one eigendecomposition of H and about two d×d products per node.
     """
     if n_quad < 3 or n_quad % 2 == 0:
         raise ValueError(f"n_quad must be odd and >= 3, got {n_quad}")
@@ -321,33 +354,45 @@ def pdx_assemble(H, P, t: float, n_zeno: int, n_quad: int,
     _check_time(t, nonnegative=True)
     if ur not in ("zeno", "limit"):
         raise ValueError(f"unknown ur mode {ur!r}")
-    h = _as_matrix(H)
+    h = _hermitian(H)
     p = _check_projector(P)
-    dim = p.shape[0]
-    q = np.eye(dim) - p
-    pd = pdot(h, p, hbar).mat
-    u_of = _propagator(h, hbar)
+    q = np.eye(p.shape[0]) - p
+    evals, vecs = np.linalg.eigh(h)
+    u_of = _eigen_propagator(evals, vecs, hbar)
+    n_int = n_quad - 1
 
-    def u_zeno(s: float) -> np.ndarray:
-        n_s = int(np.ceil(n_zeno * s / t)) if t > 0 else 0
-        if n_s == 0:
-            return q.astype(complex)
-        step = u_of(s / n_s) @ q
-        return q @ np.linalg.matrix_power(step, n_s)
+    if ur == "limit":
+        n_slices, blocks = n_int, (_restricted_generator(h, q, hbar)(t / n_int),)
+    else:
+        n_slices = n_zeno
+        step = u_of(t / n_zeno) @ q
+        low = q @ np.linalg.matrix_power(step, n_zeno // n_int)
+        blocks = (low, low @ step)
+    per_node = n_slices // n_int
 
-    u_r = _restricted_generator(h, q, hbar) if ur == "limit" else u_zeno
+    vecs_h = vecs.conj().T
+    lead = vecs_h @ pdot(h, p, hbar).mat         # V†Ṗ
+    lead_q = lead @ q @ vecs                     # V†ṖQV, for partial slices
+    decay = np.exp(-1j * evals * (t / n_int / hbar))[:, None]
+    weights = simpson_weights(n_quad, t / n_int)
 
-    s_nodes = np.linspace(0.0, t, n_quad)
-    weights = simpson_weights(n_quad, s_nodes[1] - s_nodes[0])
+    carry = q.astype(complex)                    # Q·S^{m_j}
+    acc = weights[0] * (lead @ carry)
+    m_prev = 0
+    for j in range(1, n_quad):
+        m_j, rem = divmod(n_slices * j, n_int)
+        carry = carry @ blocks[m_j - m_prev - per_node]
+        m_prev = m_j
+        if rem:
+            part = np.exp(-1j * evals * (t * rem / (n_slices * n_int) / hbar))
+            term = (lead_q * part) @ (vecs_h @ carry)
+        else:
+            term = lead @ carry
+        acc = decay * acc + weights[j] * term
 
-    crossing = np.zeros((dim, dim), dtype=complex)
-    for s, w in zip(s_nodes, weights):
-        crossing += w * (u_of(t - s) @ pd @ u_r(s))
-
-    boundary = Operator(u_of(t) @ p)
-    restricted = Operator(u_r(t))
-    return PdxTerms(boundary=boundary, crossing=Operator(crossing),
-                    restricted=restricted, quad_points=n_quad)
+    return PdxTerms(boundary=Operator(u_of(t) @ p),
+                    crossing=Operator(vecs @ acc),
+                    restricted=Operator(carry), quad_points=n_quad)
 
 
 def _check_density_matrix(rho) -> np.ndarray:
@@ -376,14 +421,15 @@ def decoherence_functional(H, Q, rho, t: float, n_zeno: int,
     float drift n·ε, so the extrapolant is the route to limit-accurate
     entries at large n_zeno.
     """
-    h = _as_matrix(H)
     rho_m = _check_density_matrix(rho)
-    u = evolve(h, t, hbar).mat
+    schedule = ZenoSchedule(t, n_zeno)
+    u_of = _propagator(H, hbar)
+    q = _check_projector(Q, "Q")
     if richardson:
-        u_r = zeno_limit_richardson(h, Q, t, n_zeno, hbar).mat
+        u_r = _richardson(u_of, q, t, n_zeno)
     else:
-        u_r = zeno_product(h, Q, ZenoSchedule(t, n_zeno), hbar).mat
-    return DecoherenceMatrix.from_class_operator(u.conj().T @ u_r, rho_m)
+        u_r = _zeno_power(u_of, q, schedule.dt, n_zeno)
+    return DecoherenceMatrix.from_class_operator(u_of(t).conj().T @ u_r, rho_m)
 
 
 @dataclass(frozen=True)

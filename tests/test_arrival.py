@@ -138,6 +138,12 @@ class TestStateBuilders:
                                           (0.5j, 3.0, -15.0, 0.2)])
         assert np.sum(np.abs(st.psi) ** 2) * st.dp == pytest.approx(1.0, abs=1e-12)
 
+    # NaN passes a sign check, so the width needs its own finiteness check
+    @pytest.mark.parametrize("sigma_p", [0.0, -0.2, np.nan, np.inf])
+    def test_superposition_width_validation(self, sigma_p):
+        with pytest.raises(ValueError, match="sigma_p must be positive and finite"):
+            superposition_state(P_GRID, [(1.0, 2.0, -10.0, sigma_p)])
+
     def test_superposition_cancellation_rejected(self):
         with pytest.raises(DomainError, match="null"):
             superposition_state(P_GRID, [(1.0, 2.0, -10.0, 0.2),

@@ -559,6 +559,8 @@ class TestResolutionAndLayout:
         (("twostate", "--omega", "nan"), "omega must be finite"),
         (("histories", "--sigma", "nan"), "sigma must be positive and finite"),
         (("histories", "--tol", "nan"), "tol must be finite"),
+        (("histories", "--length", "nan"), "length must be positive and finite"),
+        (("histories", "--length", "inf"), "length must be positive and finite"),
         (("arrival", "--smear-tau", "nan"), "smear_tau must be finite"),
         (("arrival", "--p0", "nan"), "p0 must be finite"),
         (("arrival", "--x0", "nan"), "x0 must be finite"),
@@ -566,7 +568,8 @@ class TestResolutionAndLayout:
         (("arrival", "--p-max", "nan"), "p_max must be positive and finite"),
         (("arrival", "--x-arrival", "nan"), "x_arrival must be finite"),
     ], ids=["line-x0", "line-p0", "line-sigma", "line-length", "twostate-omega",
-            "histories-sigma", "histories-tol", "arrival-smear-tau",
+            "histories-sigma", "histories-tol", "histories-length-nan",
+            "histories-length-inf", "arrival-smear-tau",
             "arrival-p0", "arrival-x0", "arrival-sigma-p", "arrival-p-max",
             "arrival-x-arrival"])
     def test_non_finite_inputs_rejected(self, tmp_path, argv, message):

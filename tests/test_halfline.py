@@ -100,6 +100,9 @@ class TestSpatialGrid:
             SpatialGrid(1.0, 1.0, 64)
         with pytest.raises(ValueError):
             SpatialGrid(0.0, 1.0, 4)
+        for x_min, x_max in ((-np.inf, np.inf), (0.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(ValueError, match="grid endpoints must be finite"):
+                SpatialGrid(x_min, x_max, 64)
 
 
 class TestWaveFunction:

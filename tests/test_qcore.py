@@ -6,6 +6,8 @@ chains for telescoped products, central differences for the projector
 velocity, and parametric scans for the conjugate-operator obstruction.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -296,6 +298,37 @@ class TestPdot:
             pdot(np.eye(2), np.eye(3))
 
 
+def pdx_reference(h, p, t, n_zeno, n_quad, ur="zeno"):
+    """Crossing and restricted terms with U_r(s_j) rebuilt at every node.
+
+    Node j of N = n_quad - 1 takes m_j = ⌊n_zeno·j/N⌋ whole slices of width
+    t/n_zeno and, for a non-zero remainder r_j, one partial slice of width
+    t·r_j/(n_zeno·N) applied last; ur="limit" takes Q exp(-i QHQ s_j) Q.
+    Every exponential is scipy's Padé expm, and the Simpson sum is direct.
+    """
+    q = np.eye(h.shape[0]) - p
+    pd = 1j * (h @ p - p @ h)
+    n_int = n_quad - 1
+    step = scipy.linalg.expm(-1j * h * (t / n_zeno)) @ q
+
+    def u_r(j):
+        if ur == "limit":
+            return q @ scipy.linalg.expm(-1j * (q @ h @ q) * (t * j / n_int)) @ q
+        m, rem = divmod(n_zeno * j, n_int)
+        out = q @ np.linalg.matrix_power(step, m)
+        if rem:
+            part = scipy.linalg.expm(-1j * h * (t * rem / (n_zeno * n_int)))
+            out = q @ part @ out
+        return out
+
+    w = np.ones(n_quad)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    w *= t / n_int / 3.0
+    crossing = sum(w[j] * scipy.linalg.expm(-1j * h * (t * (n_int - j) / n_int))
+                   @ pd @ u_r(j) for j in range(n_quad))
+    return crossing, u_r(n_int)
+
+
 class TestPdxAssemble:
     def test_two_state_boundary_exact(self):
         sys = TwoStateSystem(omega=1.0)
@@ -373,6 +406,50 @@ class TestPdxAssemble:
         v /= np.linalg.norm(v)
         out = (terms.crossing.mat + terms.restricted.mat) @ v
         assert abs(np.linalg.norm(out) - 1.0) < 1e-4
+
+    # the lattice route against node-by-node products: slices fewer than,
+    # a multiple of, and not a multiple of the quadrature intervals
+    @pytest.mark.parametrize("n_zeno, n_quad", [(10_000, 201), (333, 21),
+                                                (10, 201), (7, 5)])
+    def test_matches_per_node_reference(self, n_zeno, n_quad):
+        rng = np.random.default_rng(43)
+        h = random_hermitian(rng, 4)
+        p = random_projector(rng, 4, 2)
+        t = 1.3
+        terms = pdx_assemble(h, p, t, n_zeno=n_zeno, n_quad=n_quad)
+        crossing, restricted = pdx_reference(h, p, t, n_zeno, n_quad)
+        assert op_norm(terms.crossing.mat - crossing) < 1e-10
+        assert op_norm(terms.restricted.mat - restricted) < 1e-10
+
+    def test_limit_mode_matches_per_node_generator(self):
+        rng = np.random.default_rng(44)
+        h = random_hermitian(rng, 4)
+        p = random_projector(rng, 4, 2)
+        terms = pdx_assemble(h, p, 1.3, n_zeno=1, n_quad=201, ur="limit")
+        crossing, restricted = pdx_reference(h, p, 1.3, 1, 201, ur="limit")
+        assert op_norm(terms.crossing.mat - crossing) < 1e-12
+        assert op_norm(terms.restricted.mat - restricted) < 1e-12
+
+    def test_restricted_term_takes_exactly_n_zeno_slices(self):
+        # a float ceil(n·t/t) can round up to n + 1 slices; the integer
+        # lattice cannot
+        t = next(t for t in np.linspace(0.1, 3.0, 2000)
+                 if math.ceil(7 * t / t) != 7)
+        sys = TwoStateSystem(omega=1.0)
+        terms = pdx_assemble(sys.hamiltonian(), sys.projector_up(), t,
+                             n_zeno=7, n_quad=5)
+        z = zeno_product(sys.hamiltonian(), sys.projector_down(),
+                         ZenoSchedule(t, 7))
+        assert op_norm(terms.restricted.mat - z.mat) < 1e-12
+
+    @pytest.mark.parametrize("ur", ["zeno", "limit"])
+    def test_zero_time(self, ur):
+        rng = np.random.default_rng(45)
+        h = random_hermitian(rng, 4)
+        p = random_projector(rng, 4, 2)
+        terms = pdx_assemble(h, p, 0.0, n_zeno=100, n_quad=21, ur=ur)
+        assert op_norm(terms.crossing.mat) == 0.0
+        assert op_norm(terms.restricted.mat - (np.eye(4) - p)) < 1e-12
 
     def test_bad_quadrature_arguments(self):
         sys = TwoStateSystem(omega=1.0)
