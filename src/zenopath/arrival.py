@@ -24,6 +24,8 @@ distribution.
 
 Arrival at a general point x_a enters through the translation phase
 e^{ip·x_a/ħ} applied to ψ(p) before the x = 0 formulas.
+
+Natural units: m = ħ = 1 throughout.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .qcore import DomainError
 
 _NEG_TOL = 1e-12          # pointwise positivity slack for the density
 _MASS_EXCESS = 1e-6       # allowed quadrature overshoot of the unit mass
+_GROWTH = 1.6             # factor by which each round widens the window
 
 
 class ConvergenceAdvisory(RuntimeError):
@@ -80,8 +83,6 @@ class MomentumState:
 
     p: np.ndarray
     psi: np.ndarray
-    mass: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -97,8 +98,6 @@ class MomentumState:
                              "(use the half-offset nodes of momentum_grid)")
         if not (np.all(np.isfinite(psi.real)) and np.all(np.isfinite(psi.imag))):
             raise ValueError("state entries must be finite")
-        if self.mass <= 0 or self.hbar <= 0:
-            raise ValueError("mass and hbar must be positive")
         nrm = np.sum(np.abs(psi) ** 2) * dp
         if abs(nrm - 1.0) > 1e-8:
             raise DomainError(f"state must be unit-normalized on its grid, "
@@ -120,8 +119,7 @@ class MomentumState:
         """The state ψ(-p); needs a symmetric grid."""
         if not self.is_symmetric():
             raise ValueError("parity flip needs a grid symmetric about p = 0")
-        return MomentumState(self.p, self.psi[::-1].copy(),
-                             mass=self.mass, hbar=self.hbar)
+        return MomentumState(self.p, self.psi[::-1].copy())
 
     def mean_momentum(self) -> float:
         return float(np.sum(self.p * np.abs(self.psi) ** 2) * self.dp)
@@ -129,39 +127,37 @@ class MomentumState:
     def mean_position(self) -> float:
         """⟨x⟩ = ⟨ψ| iħ∂ₚ |ψ⟩ by a centred difference on the grid."""
         dpsi = np.gradient(self.psi, self.dp)
-        val = np.sum(np.conj(self.psi) * 1j * self.hbar * dpsi) * self.dp
+        val = np.sum(np.conj(self.psi) * 1j * dpsi) * self.dp
         return float(val.real)
 
 
 def gaussian_momentum_state(p: np.ndarray, p0: float, x0: float,
-                            sigma_p: float, mass: float = 1.0,
-                            hbar: float = 1.0) -> MomentumState:
+                            sigma_p: float) -> MomentumState:
     """ψ(p) ∝ exp(-(p-p₀)²/4σ_p² - ipx₀/ħ): width σ_p, launched from x₀."""
     for name, value in (("p0", p0), ("x0", x0)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if not (math.isfinite(sigma_p) and sigma_p > 0):
         raise ValueError(f"sigma_p must be positive and finite, got {sigma_p}")
-    psi = np.exp(-((p - p0) ** 2) / (4 * sigma_p ** 2) - 1j * p * x0 / hbar)
+    psi = np.exp(-((p - p0) ** 2) / (4 * sigma_p ** 2) - 1j * p * x0)
     dp = p[1] - p[0]
     psi = psi / math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dp)
-    return MomentumState(p, psi, mass=mass, hbar=hbar)
+    return MomentumState(p, psi)
 
 
-def superposition_state(p: np.ndarray, components, mass: float = 1.0,
-                        hbar: float = 1.0) -> MomentumState:
+def superposition_state(p: np.ndarray, components) -> MomentumState:
     """Normalized Σ c·exp(-(p-p₀)²/4σ_p² - ipx₀/ħ) over (c, p₀, x₀, σ_p)."""
     psi = np.zeros(np.shape(p), dtype=complex)
     for c, p0, x0, sigma_p in components:
         if not (math.isfinite(sigma_p) and sigma_p > 0):
             raise ValueError(f"sigma_p must be positive and finite, got {sigma_p}")
         psi += c * np.exp(-((p - p0) ** 2) / (4 * sigma_p ** 2)
-                          - 1j * p * x0 / hbar)
+                          - 1j * p * x0)
     dp = p[1] - p[0]
     nrm = math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dp)
     if nrm < 1e-14:
         raise DomainError("superposition cancels to a (near) null state")
-    return MomentumState(p, psi / nrm, mass=mass, hbar=hbar)
+    return MomentumState(p, psi / nrm)
 
 
 @dataclass(frozen=True)
@@ -222,7 +218,7 @@ def _phase_apply(state: MomentumState, weights: np.ndarray, t0: float,
     instead of n, and, unlike a running recurrence, accumulates no rounding
     from block to block.
     """
-    e = state.p ** 2 / (2.0 * state.mass * state.hbar)
+    e = state.p ** 2 / 2.0
     b = max(1, math.ceil(math.sqrt(n)))
     step = np.exp(-1j * np.outer(dt * np.arange(b), e))
     out = np.empty((n, weights.shape[1]), dtype=complex)
@@ -241,12 +237,12 @@ def _time_grid(t: np.ndarray) -> tuple[float, float]:
 def _weights(state: MomentumState, x_arrival: float) -> np.ndarray:
     """Phase-sum weights as columns: the right and left Kijowski amplitudes,
     then ψ(x_a, t) and ∂ₓψ(x_a, t) for the flux."""
-    p, dp, hbar = state.p, state.dp, state.hbar
-    psi = state.psi * np.exp(1j * p * x_arrival / hbar)
-    w = np.sqrt(np.abs(p) / (2 * np.pi * state.mass * hbar)) * dp
-    scale = dp / math.sqrt(2 * np.pi * hbar)
+    p, dp = state.p, state.dp
+    psi = state.psi * np.exp(1j * p * x_arrival)
+    w = np.sqrt(np.abs(p) / (2 * np.pi)) * dp
+    scale = dp / math.sqrt(2 * np.pi)
     return np.stack([w * (p > 0) * psi, w * (p < 0) * psi, scale * psi,
-                     scale * (1j * p / hbar) * psi], axis=1)
+                     scale * (1j * p) * psi], axis=1)
 
 
 def _distribution(state: MomentumState, t: np.ndarray, amp: np.ndarray,
@@ -259,9 +255,9 @@ def _distribution(state: MomentumState, t: np.ndarray, amp: np.ndarray,
                                x_arrival=x_arrival)
 
 
-def _current(state: MomentumState, amp: np.ndarray) -> np.ndarray:
+def _current(amp: np.ndarray) -> np.ndarray:
     val, der = amp.T
-    return np.asarray((state.hbar / state.mass) * (np.conj(val) * der).imag)
+    return (np.conj(val) * der).imag
 
 
 def kijowski_density(state: MomentumState, t_grid,
@@ -281,7 +277,7 @@ def current_density_at_origin(state: MomentumState, t_grid,
     t0, dt = _time_grid(t)
     amp = _phase_apply(state, _weights(state, x_arrival)[:, 2:], t0, dt, 0,
                        t.size)
-    return _current(state, amp)
+    return _current(amp)
 
 
 def arrival_moments(dist: ArrivalDistribution, order: int) -> float:
@@ -305,34 +301,31 @@ def arrival_moments(dist: ArrivalDistribution, order: int) -> float:
 
 def converged_density(state: MomentumState, t_center: float | None = None,
                       half_width: float = 5.0, dt: float = 0.02,
-                      tol: float = 1e-4, growth: float = 1.6,
-                      max_rounds: int = 12,
+                      tol: float = 1e-4, max_rounds: int = 12,
                       x_arrival: float = 0.0) -> ArrivalDistribution:
     """Widen the time window about t_center until the mass stops moving.
 
     The windows are nested on one lattice t_center + dt·k: round r keeps
-    |k| ≤ K_r = round(w_r/dt), where the half width w_r = half_width·growth^r
+    |k| ≤ K_r = round(w_r/dt), where the half width w_r = half_width·1.6^r
     grows geometrically, and evaluates only the samples it adds at the two
     edges.  Convergence means the captured mass changes by less than tol
     between rounds.  With t_center omitted it is estimated from the
     classical flight time (x_a - ⟨x⟩)·m/⟨p⟩.
     """
-    return _converged_window(state, t_center, half_width, dt, tol, growth,
+    return _converged_window(state, t_center, half_width, dt, tol,
                              max_rounds, x_arrival)[0]
 
 
 def _converged_window(state: MomentumState, t_center: float | None = None,
                       half_width: float = 5.0, dt: float = 0.02,
-                      tol: float = 1e-4, growth: float = 1.6,
-                      max_rounds: int = 12, x_arrival: float = 0.0
+                      tol: float = 1e-4, max_rounds: int = 12,
+                      x_arrival: float = 0.0
                       ) -> tuple[ArrivalDistribution, np.ndarray]:
     """`converged_density` plus the flux on the same window, from the same
     phase sums: returns (distribution, current)."""
     for name, value in (("half_width", half_width), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    if not growth >= 1:
-        raise ValueError(f"growth must be >= 1, got {growth}")
     if not math.isfinite(x_arrival):
         raise ValueError(f"x_arrival must be finite, got {x_arrival}")
     if t_center is None:
@@ -340,7 +333,7 @@ def _converged_window(state: MomentumState, t_center: float | None = None,
         if abs(pbar) < 1e-9:
             raise DomainError("cannot estimate an arrival window for a "
                               "zero-mean-momentum state; pass t_center")
-        t_center = (x_arrival - state.mean_position()) * state.mass / pbar
+        t_center = (x_arrival - state.mean_position()) / pbar
     elif not math.isfinite(t_center):
         raise ValueError(f"t_center must be finite, got {t_center}")
     weights = _weights(state, x_arrival)
@@ -365,9 +358,9 @@ def _converged_window(state: MomentumState, t_center: float | None = None,
                 "this momentum grid cannot resolve") from exc
         mass = dist.captured_mass()
         if prev is not None and abs(mass - prev) < tol:
-            return dist, _current(state, amp[:, 2:])
+            return dist, _current(amp[:, 2:])
         prev = mass
-        w *= growth
+        w *= _GROWTH
     raise ConvergenceAdvisory(
         f"arrival window failed to converge after {max_rounds} widenings "
         f"(last captured mass {prev:.6f})")

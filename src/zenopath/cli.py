@@ -18,11 +18,7 @@ from the parameter lines yields a config file that reproduces the table.
 
 Formats: CSV (comma separated, `#`-prefixed metadata, floats as %.11e) and
 JSON mirroring the CSV one-to-one under {metadata, columns, rows}.  A given
-configuration produces byte-identical output; `--parallel` evaluates
-independent sweep points concurrently but assembles rows in input order, so
-it never changes the bytes.  The `pdx-verify --system line` ladder is one
-pass that shares its phase tables across rungs, so `--parallel` leaves it
-whole.
+configuration produces byte-identical output.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric precondition
 violation, 4 convergence advisory.
@@ -35,7 +31,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -201,7 +196,6 @@ class RunConfig:
     params: Mapping[str, object]
     out: str | None = None
     fmt: str = "csv"
-    parallel: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -284,15 +278,6 @@ class ResultTable:
         raise ConfigError(f"unknown format {fmt!r}")
 
 
-def _ordered_map(fn: Callable, items, parallel: bool) -> list:
-    """Evaluate fn over items, concurrently if asked, preserving order."""
-    items = list(items)
-    if not parallel or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(8, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _scalar_row(name: str, value: complex, target: complex):
     v, w = complex(value), complex(target)
     return (name, v.real, v.imag, w.real, w.imag, abs(v - w))
@@ -366,7 +351,7 @@ def cmd_zeno_converge(cfg: RunConfig) -> ResultTable:
         dev = 1.0 - surv
         return (n, surv, closed, abs(surv - closed), dev, n * dev)
 
-    rows = _ordered_map(one, p["n_list"], cfg.parallel)
+    rows = [one(n) for n in p["n_list"]]
     cols = ("n", "survival", "survival_closed", "closed_gap", "deviation",
             "deviation_scaled")
     return ResultTable(columns=cols, rows=tuple(rows),
@@ -385,8 +370,7 @@ def cmd_pdx_verify(cfg: RunConfig) -> ResultTable:
     """Residual of the propagator split across a quadrature refinement
     ladder; metadata carries the fitted convergence order and a monotone
     flag (a non-decreasing step is flagged in its row, not fatal).  The
-    line ladder is one pass (`line_pdx_ladder`), so `--parallel` splits
-    only the two-state ladder."""
+    line ladder is one pass (`line_pdx_ladder`)."""
     p = cfg.params
     ladder = p["ladder"]
 
@@ -401,7 +385,7 @@ def cmd_pdx_verify(cfg: RunConfig) -> ResultTable:
                                  n_quad=nq, ur="limit")
             return float((terms.total + (-1.0) * u).norm())
 
-        values = _ordered_map(resid, ladder, cfg.parallel)
+        values = [resid(nq) for nq in ladder]
     else:
         system = HalfLineSystem(L=p["length"], n=p["n_grid"], beta=p["beta"])
         g = system.full_grid()
@@ -451,7 +435,7 @@ def cmd_histories(cfg: RunConfig) -> ResultTable:
                 v.consistent, float(row.r_plus), float(row.r_minus),
                 row.directsum_distance, row.grid_warning)
 
-    rows = _ordered_map(one, t_values, cfg.parallel)
+    rows = [one(t) for t in t_values]
     cols = ("t", "p_same", "p_cross", "re_d12", "im_d12", "consistent",
             "r_plus", "r_minus", "directsum_distance", "grid_warning")
     return ResultTable(columns=cols, rows=tuple(rows),
@@ -533,8 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output path (default: "
                         f"${OUT_DIR_ENV} or cwd, <command>.<format>)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--parallel", action="store_true",
-                        help="evaluate independent sweep points concurrently")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed recorded in the metadata block")
         for key, par in schema.items():
@@ -558,7 +540,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                           f"{', '.join(sorted(unknown))}")
     params = {k: _parse_value(schema[k].kind, v) for k, v in raw.items()}
     return RunConfig(command=args.command, params=params, out=args.out,
-                     fmt=args.format, parallel=args.parallel, seed=args.seed)
+                     fmt=args.format, seed=args.seed)
 
 
 def default_out_path(command: str, fmt: str) -> str:

@@ -25,7 +25,7 @@ a(s) = (U_r ψ)(0) and b(s) = ∂ₓ(U_r ψ)(0):
 with g the free kernel.  The integrable endpoint of the convolution is
 handled by the substitution s = t - u².
 
-Natural units m = ħ = 1 by default; both are keywords or system fields.
+Natural units: m = ħ = 1 throughout.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import numpy as np
 from .qcore import DomainError, _check_time, simpson_weights
 
 NEUMANN = "neumann"
+_SUPPORT_TOL = 1e-6       # weight allowed in x < 0 for a right-supported state
 
 
 @dataclass(frozen=True)
@@ -134,10 +135,10 @@ class GaussianPacket:
         if self.parity not in (None, "even", "odd"):
             raise ValueError(f"parity must be None, 'even' or 'odd', got {self.parity!r}")
 
-    def build(self, grid: SpatialGrid, hbar: float = 1.0) -> WaveFunction:
+    def build(self, grid: SpatialGrid) -> WaveFunction:
         x = grid.x
         psi = np.exp(-((x - self.x0) ** 2) / (4 * self.sigma ** 2)
-                     + 1j * self.p0 * (x - self.x0) / hbar)
+                     + 1j * self.p0 * (x - self.x0))
         if self.parity is not None:
             _require_symmetric(grid)
             mirrored = _reflect_full(psi)
@@ -146,8 +147,8 @@ class GaussianPacket:
 
 
 def gaussian_packet(grid: SpatialGrid, x0: float, p0: float, sigma: float,
-                    parity: str | None = None, hbar: float = 1.0) -> WaveFunction:
-    return GaussianPacket(x0, p0, sigma, parity).build(grid, hbar)
+                    parity: str | None = None) -> WaveFunction:
+    return GaussianPacket(x0, p0, sigma, parity).build(grid)
 
 
 def _reflect_full(samples: np.ndarray) -> np.ndarray:
@@ -157,37 +158,38 @@ def _reflect_full(samples: np.ndarray) -> np.ndarray:
     return samples[idx]
 
 
-def free_kernel(x, y, t: float, mass: float = 1.0, hbar: float = 1.0):
+def free_kernel(x, y, t: float):
     """g(x,y,t) = sqrt(m/2πiħt)·exp(im(x-y)²/2ħt), the forward branch
     sqrt(1/i) = e^{-iπ/4}."""
+    _check_time(t)
     if t <= 0:
         raise ValueError(f"free kernel needs t > 0, got {t}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    amp = np.sqrt(mass / (2 * np.pi * hbar * t)) * np.exp(-1j * np.pi / 4)
-    return amp * np.exp(1j * mass * (x - y) ** 2 / (2 * hbar * t))
+    amp = np.sqrt(1 / (2 * np.pi * t)) * np.exp(-1j * np.pi / 4)
+    return amp * np.exp(1j * (x - y) ** 2 / (2 * t))
 
 
-def to_momentum(psi: WaveFunction, hbar: float = 1.0) -> WaveFunction:
+def to_momentum(psi: WaveFunction) -> WaveFunction:
     """Unitary transform to φ(p) = (2πħ)^{-1/2} ∫ ψ(x) e^{-ipx/ħ} dx."""
     if psi.representation != "position":
         raise ValueError("state is already in momentum representation")
     g = psi.grid
     k = g.k
-    phi = g.dx / np.sqrt(2 * np.pi * hbar) * np.fft.fft(psi.samples)
+    phi = g.dx / np.sqrt(2 * np.pi) * np.fft.fft(psi.samples)
     phi *= np.exp(-1j * k * g.x_min)
     order = np.argsort(k, kind="stable")
-    p = hbar * k[order]
+    p = k[order]
     dp = p[1] - p[0]
     pgrid = SpatialGrid(p[0], p[0] + dp * g.n, g.n)
     return WaveFunction(pgrid, phi[order], "momentum")
 
 
-def to_position(phi: WaveFunction, grid: SpatialGrid, hbar: float = 1.0) -> WaveFunction:
+def to_position(phi: WaveFunction, grid: SpatialGrid) -> WaveFunction:
     """Inverse of to_momentum back onto the originating position grid."""
     if phi.representation != "momentum":
         raise ValueError("state is not in momentum representation")
-    k_sorted = phi.grid.x / hbar
+    k_sorted = phi.grid.x
     k = grid.k
     order = np.argsort(k, kind="stable")
     spec = np.empty(grid.n, dtype=complex)
@@ -195,26 +197,24 @@ def to_position(phi: WaveFunction, grid: SpatialGrid, hbar: float = 1.0) -> Wave
         raise ValueError("momentum grid does not match the target position grid")
     spec[order] = phi.samples
     spec *= np.exp(1j * k * grid.x_min)
-    psi = np.fft.ifft(spec) * np.sqrt(2 * np.pi * hbar) / grid.dx
+    psi = np.fft.ifft(spec) * np.sqrt(2 * np.pi) / grid.dx
     return WaveFunction(grid, psi, "position")
 
 
-def spectral_evolve_line(psi: WaveFunction, t: float,
-                         mass: float = 1.0, hbar: float = 1.0) -> WaveFunction:
+def spectral_evolve_line(psi: WaveFunction, t: float) -> WaveFunction:
     """Free evolution by phase e^{-ip²t/2mħ}; exact dispersion on the grid,
     valid for either sign of t."""
     _check_time(t)
     if psi.representation == "momentum":
         p = psi.grid.x
-        out = psi.samples * np.exp(-1j * p ** 2 * t / (2 * mass * hbar))
+        out = psi.samples * np.exp(-1j * p ** 2 * t / 2)
         return WaveFunction(psi.grid, out, "momentum")
     g = psi.grid
-    spec = np.fft.fft(psi.samples) * np.exp(-1j * hbar * g.k ** 2 * t / (2 * mass))
+    spec = np.fft.fft(psi.samples) * np.exp(-1j * g.k ** 2 * t / 2)
     return WaveFunction(g, np.fft.ifft(spec), "position")
 
 
-def phq_nonzero_check(psi: WaveFunction, mass: float = 1.0,
-                      hbar: float = 1.0) -> float:
+def phq_nonzero_check(psi: WaveFunction) -> float:
     """‖(1-θ)·(-ħ²/2m)∂²ₓ(θψ)‖ on the grid: the amplitude the kinetic term
     moves across the cut at x = 0 in one application.
 
@@ -229,7 +229,7 @@ def phq_nonzero_check(psi: WaveFunction, mass: float = 1.0,
     inner[:j0] = 0.0                       # keep x >= 0
     d2 = np.zeros_like(inner)
     d2[1:-1] = (inner[:-2] - 2 * inner[1:-1] + inner[2:]) / dx ** 2
-    out = (-hbar ** 2 / (2 * mass)) * d2
+    out = -0.5 * d2
     out[j0 + 1:] = 0.0                     # keep x <= 0
     return float(np.sqrt(np.sum(np.abs(out) ** 2) * dx))
 
@@ -242,16 +242,12 @@ class HalfLineSystem:
     L: float
     n: int
     beta: float | str
-    mass: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         if not (np.isfinite(self.L) and self.L > 0):
             raise ValueError(f"L must be positive and finite, got {self.L}")
         if self.n < 8:
             raise ValueError(f"n must be >= 8, got {self.n}")
-        if self.mass <= 0 or self.hbar <= 0:
-            raise ValueError("mass and hbar must be positive")
         if isinstance(self.beta, str):
             if self.beta != NEUMANN:
                 raise ValueError(f"string beta must be {NEUMANN!r}, got {self.beta!r}")
@@ -315,7 +311,7 @@ def build_halfline_hamiltonian(sys: HalfLineSystem):
 
 
 def _halfline_tridiag(sys: HalfLineSystem) -> tuple[np.ndarray, np.ndarray]:
-    kappa = sys.hbar ** 2 / (2 * sys.mass * sys.dx ** 2)
+    kappa = 1 / (2 * sys.dx ** 2)
     if sys.is_dirichlet:
         dim = sys.n - 1
         diag = np.full(dim, 2 * kappa)
@@ -353,12 +349,12 @@ def _propagate_half_samples(h: np.ndarray, sys: HalfLineSystem, t: float) -> np.
     if sys.is_dirichlet:
         c = evecs.T @ h[1:]
         out = np.zeros_like(h)
-        out[1:] = evecs @ (np.exp(-1j * evals * t / sys.hbar) * c)
+        out[1:] = evecs @ (np.exp(-1j * evals * t) * c)
         return out
     phi = h.astype(complex).copy()
     phi[0] /= np.sqrt(2.0)
     c = evecs.T @ phi
-    phi_t = evecs @ (np.exp(-1j * evals * t / sys.hbar) * c)
+    phi_t = evecs @ (np.exp(-1j * evals * t) * c)
     phi_t[0] *= np.sqrt(2.0)
     return phi_t
 
@@ -386,7 +382,7 @@ def image_method_propagate(psi_half: WaveFunction, sys: HalfLineSystem,
         raise ValueError("state grid does not match the half-line system")
     f = _image_extension(psi_half.samples, sys)
     full = WaveFunction(sys.full_grid(), f)
-    out = spectral_evolve_line(full, t, sys.mass, sys.hbar)
+    out = spectral_evolve_line(full, t)
     return WaveFunction(sys.half_grid(), out.samples[sys.n:])
 
 
@@ -470,7 +466,7 @@ def _null_phase(sys: HalfLineSystem, t) -> np.ndarray | float:
     walls, which have no g_0."""
     if sys.is_neumann or sys.beta >= 0:
         return 1.0
-    return np.exp(1j * sys.hbar * np.asarray(t) / (2 * sys.mass * sys.beta ** 2))
+    return np.exp(1j * np.asarray(t) / (2 * sys.beta ** 2))
 
 
 def _intertwine_propagate(h: np.ndarray, sys: HalfLineSystem, t: float) -> np.ndarray:
@@ -550,7 +546,7 @@ def wall_flux(psi_half: WaveFunction, sys: HalfLineSystem) -> float:
     statement.
     """
     a, b = _boundary_pair(psi_half.samples, sys)
-    return float(sys.hbar / sys.mass * (np.conj(a) * b).imag)
+    return float((np.conj(a) * b).imag)
 
 
 def _boundary_pair(h: np.ndarray, sys: HalfLineSystem) -> tuple[complex, complex]:
@@ -571,12 +567,13 @@ def grid_zeno_product(psi: WaveFunction, sys: HalfLineSystem, t: float,
     probe which wall condition the projective limit selects; the measured
     drift is toward the hard (Dirichlet) wall.
     """
+    _check_time(t, nonnegative=True)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if psi.grid != sys.full_grid():
         raise ValueError("state grid does not match the full-line system grid")
     g = psi.grid
-    phase = np.exp(-1j * sys.hbar * g.k ** 2 * (t / n) / (2 * sys.mass))
+    phase = np.exp(-1j * g.k ** 2 * (t / n) / 2)
     cur = psi.samples.copy()
     cur[:sys.n] = 0.0
     for _ in range(n):
@@ -601,8 +598,7 @@ class LinePdxParts:
 
 
 def line_pdx_terms(psi: WaveFunction, sys: HalfLineSystem, t: float,
-                   n_quad: int = 400, k_cut: float | None = None,
-                   support_tol: float = 1e-6) -> LinePdxParts:
+                   n_quad: int = 400, k_cut: float | None = None) -> LinePdxParts:
     """Assemble the line split for a state supported in x ≥ 0.
 
     The crossing convolution is evaluated in the grid's own momentum basis,
@@ -623,7 +619,7 @@ def line_pdx_terms(psi: WaveFunction, sys: HalfLineSystem, t: float,
     a(s), b(s) at s = t - u² are read through it.  This is the one-rung
     case of `line_pdx_ladder`.
     """
-    return _line_pdx_parts(psi, sys, t, [n_quad], k_cut, support_tol)[0]
+    return _line_pdx_parts(psi, sys, t, [n_quad], k_cut)[0]
 
 
 def line_pdx_ladder(psi: WaveFunction, sys: HalfLineSystem, t: float,
@@ -638,8 +634,8 @@ def line_pdx_ladder(psi: WaveFunction, sys: HalfLineSystem, t: float,
 
 
 def _line_pdx_parts(psi: WaveFunction, sys: HalfLineSystem, t: float,
-                    ladder: list[int], k_cut: float | None = None,
-                    support_tol: float = 1e-6) -> list[LinePdxParts]:
+                    ladder: list[int],
+                    k_cut: float | None = None) -> list[LinePdxParts]:
     """The line split for each n_quad of `ladder`, in ladder order."""
     if not (np.isfinite(t) and t > 0):
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -652,17 +648,16 @@ def _line_pdx_parts(psi: WaveFunction, sys: HalfLineSystem, t: float,
     if psi.representation != "position" or psi.grid != sys.full_grid():
         raise ValueError("psi must be a position state on the system's full grid")
     n, dx = sys.n, sys.dx
-    mass, hbar = sys.mass, sys.hbar
     samples = psi.samples
     left_mass = np.sqrt(np.sum(np.abs(samples[:n]) ** 2) * dx)
-    if left_mass > support_tol * max(psi.norm(), 1e-30):
+    if left_mass > _SUPPORT_TOL * max(psi.norm(), 1e-30):
         raise DomainError(f"state has weight {left_mass:.3e} in x < 0; "
                           "the split needs right-supported input")
 
     g = psi.grid
     k = g.k
     k_nyq = np.pi / dx
-    mu = hbar * k ** 2 / (2 * mass)
+    mu = k ** 2 / 2
     tail = np.exp(-1j * mu * t)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(mu > 0, 1.0 / np.where(mu > 0, mu, 1.0), 0.0)
@@ -679,9 +674,9 @@ def _line_pdx_parts(psi: WaveFunction, sys: HalfLineSystem, t: float,
     delta = np.zeros(g.n, dtype=complex)
     delta[n] = 1.0 / dx
     guard = _raised_cosine_window(k, 0.85 * k_nyq, 0.95 * k_nyq)
-    to_chi = (1j * hbar / (2 * mass)) * guard * np.fft.fft(delta)
+    to_chi = (1j / 2) * guard * np.fft.fft(delta)
 
-    evolved = spectral_evolve_line(psi, t, mass, hbar).samples
+    evolved = spectral_evolve_line(psi, t).samples
     restricted = np.zeros(g.n, dtype=complex)
     half = WaveFunction(sys.half_grid(), samples[n:])
     restricted[n:] = restricted_propagate(half, sys, t,
@@ -716,7 +711,7 @@ def _line_pdx_parts(psi: WaveFunction, sys: HalfLineSystem, t: float,
 
         if k_cut is None:
             # phase step (ħk²t/2m)·(π/2n_quad)·|sin 2θ| ≤ 0.4 rad in the zone
-            rung_cut = np.sqrt(0.4 * (4 / np.pi) * n_quad * mass / (hbar * t))
+            rung_cut = np.sqrt(0.4 * (4 / np.pi) * n_quad / t)
         else:
             rung_cut = k_cut
         rung_cut = float(min(rung_cut, 0.9 * k_nyq))
@@ -737,7 +732,7 @@ def _quadrature_rows(theta: np.ndarray, t: float, k_half: np.ndarray,
     they need the conjugate table times e^{-iħk²t/2m}, which `folded`
     already carries."""
     u = np.sqrt(t) * np.sin(theta)
-    phase = np.outer(u ** 2, k_half ** 2) * (-sys.hbar / (2 * sys.mass))
+    phase = np.outer(u ** 2, k_half ** 2) * -0.5
     table = np.empty(phase.shape, dtype=complex)    # cos + i·sin, faster
     np.cos(phase, out=table.real)                   # than a complex exp
     np.sin(phase, out=table.imag)

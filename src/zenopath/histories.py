@@ -24,6 +24,8 @@ Node convention: x = 0 sits on a grid node owned by the right half; the left
 restriction is the strict complement, and the left evolution reads its
 boundary value at x = 0 from the (continuous) state rather than
 extrapolating.
+
+Natural units: m = ħ = 1 throughout.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .halfline import (
     spectral_evolve_line,
     to_momentum,
 )
-from .qcore import DecoherenceMatrix
+from .qcore import DecoherenceMatrix, _check_time
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,7 @@ class HistoryPair:
     label_cross: str = "crosses x=0"
 
     def __post_init__(self):
-        if not (math.isfinite(self.t) and self.t >= 0):
-            raise ValueError(f"t must be finite and >= 0, got {self.t}")
+        _check_time(self.t, nonnegative=True)
         if isinstance(self.beta, str) and self.beta != NEUMANN:
             raise ValueError(f"string beta must be {NEUMANN!r}, got {self.beta!r}")
 
@@ -104,27 +105,25 @@ def mirror_beta(beta: float | str) -> float | str:
     return -beta if beta != 0.0 else 0.0
 
 
-def _split_context(psi: WaveFunction, beta, mass: float, hbar: float):
+def _split_context(psi: WaveFunction, beta):
     if psi.representation != "position":
         raise ValueError("history amplitudes need a position-representation state")
     g = psi.grid
     if not g.is_symmetric():
         raise ValueError("history amplitudes need a grid symmetric about x = 0")
     n = g.n // 2
-    right = HalfLineSystem(L=g.x_max, n=n, beta=beta, mass=mass, hbar=hbar)
-    left = HalfLineSystem(L=g.x_max, n=n, beta=mirror_beta(beta),
-                          mass=mass, hbar=hbar)
+    right = HalfLineSystem(L=g.x_max, n=n, beta=beta)
+    left = HalfLineSystem(L=g.x_max, n=n, beta=mirror_beta(beta))
     return g, n, right, left
 
 
-def direct_sum_evolve(psi: WaveFunction, pair: HistoryPair,
-                      mass: float = 1.0, hbar: float = 1.0) -> WaveFunction:
+def direct_sum_evolve(psi: WaveFunction, pair: HistoryPair) -> WaveFunction:
     """[U_r^β(t)(θψ)] ⊕ [U_r^{β,L}(t)((1-θ)ψ)] reassembled on the full grid.
 
     The x = -L node has no mirror partner inside the half grid and is set to
     zero; states in the supported regime carry no weight there.
     """
-    g, n, right, left = _split_context(psi, pair.beta, mass, hbar)
+    g, n, right, left = _split_context(psi, pair.beta)
     s = psi.samples
 
     h_right = s[n:].copy()
@@ -144,22 +143,21 @@ def direct_sum_evolve(psi: WaveFunction, pair: HistoryPair,
     return WaveFunction(g, out)
 
 
-def class_amplitudes(psi: WaveFunction, pair: HistoryPair,
-                     mass: float = 1.0, hbar: float = 1.0) -> ClassSplit:
+def class_amplitudes(psi: WaveFunction, pair: HistoryPair) -> ClassSplit:
     """Amplitudes C₁ψ (never crosses) and C₂ψ = ψ - C₁ψ (crosses).
 
     grid_warning flags a cut too coarse for the state: the moduli at the two
     nodes adjacent to x = 0 differ by more than 20%.
     """
-    summed = direct_sum_evolve(psi, pair, mass=mass, hbar=hbar)
-    return _split_from_summed(psi, summed, pair.t, mass, hbar)
+    summed = direct_sum_evolve(psi, pair)
+    return _split_from_summed(psi, summed, pair.t)
 
 
-def _split_from_summed(psi: WaveFunction, summed: WaveFunction, t: float,
-                       mass: float, hbar: float) -> ClassSplit:
+def _split_from_summed(psi: WaveFunction, summed: WaveFunction,
+                       t: float) -> ClassSplit:
     """C₁ψ = U(-t)·summed, C₂ψ = ψ - C₁ψ, and the grid warning."""
     n = psi.grid.n // 2
-    c1 = spectral_evolve_line(summed, -t, mass=mass, hbar=hbar)
+    c1 = spectral_evolve_line(summed, -t)
     c2 = WaveFunction(psi.grid, psi.samples - c1.samples)
     lo, hi = abs(psi.samples[n - 1]), abs(psi.samples[n + 1])
     ref = max(lo, hi)
@@ -175,22 +173,18 @@ def _split_matrix(split: ClassSplit) -> DecoherenceMatrix:
                                        [np.conj(d12), c2.inner(c2)]]))
 
 
-def decoherence_line(psi: WaveFunction, pair: HistoryPair,
-                     mass: float = 1.0, hbar: float = 1.0) -> DecoherenceMatrix:
+def decoherence_line(psi: WaveFunction, pair: HistoryPair) -> DecoherenceMatrix:
     """d(i,j) = ⟨C_jψ|C_iψ⟩ for the pure state ψ; labels ("stay", "cross")."""
-    return _split_matrix(class_amplitudes(psi, pair, mass=mass, hbar=hbar))
+    return _split_matrix(class_amplitudes(psi, pair))
 
 
 def consistency_verdict(psi: WaveFunction, pair: HistoryPair,
-                        tol: float = 1e-3,
-                        mass: float = 1.0, hbar: float = 1.0) -> ConsistencyVerdict:
+                        tol: float = 1e-3) -> ConsistencyVerdict:
     """Verdict with the grid-honest relative tolerance (default 1e-3)."""
-    return ConsistencyVerdict.from_matrix(
-        decoherence_line(psi, pair, mass=mass, hbar=hbar), tol)
+    return ConsistencyVerdict.from_matrix(decoherence_line(psi, pair), tol)
 
 
-def reflection_safe_horizon(psi: WaveFunction, mass: float = 1.0,
-                            hbar: float = 1.0, margin: float = 2.0,
+def reflection_safe_horizon(psi: WaveFunction, margin: float = 2.0,
                             tail: float = 1e-6) -> float:
     """Largest t before the state's fast tail can reach the outer grid edges.
 
@@ -203,12 +197,12 @@ def reflection_safe_horizon(psi: WaveFunction, mass: float = 1.0,
     cum = np.cumsum(w) / np.sum(w)
     x_lo = g.x[int(np.searchsorted(cum, tail))]
     x_hi = g.x[min(int(np.searchsorted(cum, 1.0 - tail)), g.n - 1)]
-    ph = to_momentum(psi, hbar=hbar) if psi.representation == "position" else psi
+    ph = to_momentum(psi) if psi.representation == "position" else psi
     pw = np.abs(ph.samples) ** 2
     pcum = np.cumsum(pw) / np.sum(pw)
     p_lo = ph.grid.x[int(np.searchsorted(pcum, tail))]
     p_hi = ph.grid.x[min(int(np.searchsorted(pcum, 1.0 - tail)), ph.grid.n - 1)]
-    v_max = max(abs(p_lo), abs(p_hi)) / mass
+    v_max = max(abs(p_lo), abs(p_hi))
     room = min(g.x_max - x_hi, x_lo - g.x_min) - margin
     if room <= 0:
         return 0.0
@@ -265,27 +259,27 @@ def _spectral_gate_residual(psi: WaveFunction, beta) -> float:
     return abs(psi.samples[n] - beta * dpsi)
 
 
-def _flux_through_zero(psi: WaveFunction, mass: float, hbar: float) -> float:
+def _flux_through_zero(psi: WaveFunction) -> float:
     n = psi.grid.n // 2
     s = psi.samples
     dpsi = (s[n + 1] - s[n - 1]) / (2 * psi.grid.dx)
-    return float(hbar / mass * (np.conj(s[n]) * dpsi).imag)
+    return float((np.conj(s[n]) * dpsi).imag)
 
 
-def history_row(psi: WaveFunction, pair: HistoryPair, tol: float = 1e-3,
-                mass: float = 1.0, hbar: float = 1.0) -> BetaScanRow:
+def history_row(psi: WaveFunction, pair: HistoryPair,
+                tol: float = 1e-3) -> BetaScanRow:
     """One (β, t) cell: the direct-sum evolution feeds both C₁ψ (verdict,
     grid warning) and the distance to U(t)ψ (with its wall residuals and
     flux through x = 0)."""
-    summed = direct_sum_evolve(psi, pair, mass=mass, hbar=hbar)
-    split = _split_from_summed(psi, summed, pair.t, mass, hbar)
-    evolved = spectral_evolve_line(psi, pair.t, mass=mass, hbar=hbar)
+    summed = direct_sum_evolve(psi, pair)
+    split = _split_from_summed(psi, summed, pair.t)
+    evolved = spectral_evolve_line(psi, pair.t)
     rp, rm = boundary_condition_residuals(evolved, pair.beta)
     return BetaScanRow(
         beta=pair.beta, t=pair.t,
         verdict=ConsistencyVerdict.from_matrix(_split_matrix(split), tol),
         r_plus=rp, r_minus=rm,
-        flux0=_flux_through_zero(evolved, mass, hbar),
+        flux0=_flux_through_zero(evolved),
         directsum_distance=float(np.max(np.abs(evolved.samples
                                                - summed.samples))),
         grid_warning=split.grid_warning, rejected=False)
@@ -293,8 +287,7 @@ def history_row(psi: WaveFunction, pair: HistoryPair, tol: float = 1e-3,
 
 def beta_condition_scan(builder: Callable[[float | str, SpatialGrid], WaveFunction],
                         beta_list, t_list, grid: SpatialGrid | None = None,
-                        tol: float = 1e-3, mass: float = 1.0,
-                        hbar: float = 1.0) -> list[BetaScanRow]:
+                        tol: float = 1e-3) -> list[BetaScanRow]:
     """Evaluate the wall-condition family across (β, t).
 
     builder(β, grid) must return a normalized full-line state satisfying
@@ -319,7 +312,7 @@ def beta_condition_scan(builder: Callable[[float | str, SpatialGrid], WaveFuncti
                                         grid_warning=False, rejected=True))
                 continue
             rows.append(history_row(psi0, HistoryPair(t=float(t), beta=beta),
-                                    tol=tol, mass=mass, hbar=hbar))
+                                    tol=tol))
 
     def key(row: BetaScanRow):
         if isinstance(row.beta, str):

@@ -14,7 +14,7 @@ interleaved evolution and projection,
 
 with Q(s) = U†(s) Q U(s).  The limit is never taken symbolically: callers pick
 a finite n, and the generator form Q exp(-i QHQ t/ħ) Q is available separately
-for cross-checks.  Natural units ħ = 1 by default; ħ is a keyword everywhere.
+for cross-checks.  Natural units: ħ = 1 throughout.
 
 All functions are pure and safe to call concurrently.
 """
@@ -206,44 +206,44 @@ def _hermitian(H) -> np.ndarray:
     return m
 
 
-def _propagator(H, hbar: float) -> Callable[[float], np.ndarray]:
+def _propagator(H) -> Callable[[float], np.ndarray]:
     """τ ↦ exp(-iHτ/ħ) from one eigendecomposition of hermitian H."""
-    return _eigen_propagator(*np.linalg.eigh(_hermitian(H)), hbar)
+    return _eigen_propagator(*np.linalg.eigh(_hermitian(H)))
 
 
-def _eigen_propagator(evals: np.ndarray, vecs: np.ndarray,
-                      hbar: float) -> Callable[[float], np.ndarray]:
+def _eigen_propagator(evals: np.ndarray,
+                      vecs: np.ndarray) -> Callable[[float], np.ndarray]:
     """τ ↦ exp(-iHτ/ħ) from H = V diag(λ) V†, given as (λ, V)."""
 
     def u_of(tau: float) -> np.ndarray:
-        return (vecs * np.exp(-1j * evals * (tau / hbar))) @ vecs.conj().T
+        return (vecs * np.exp(-1j * evals * tau)) @ vecs.conj().T
 
     return u_of
 
 
-def _restricted_generator(h: np.ndarray, q: np.ndarray,
-                          hbar: float) -> Callable[[float], np.ndarray]:
+def _restricted_generator(h: np.ndarray,
+                          q: np.ndarray) -> Callable[[float], np.ndarray]:
     """s ↦ Q exp(-i QHQ s/ħ) Q from one eigendecomposition of QHQ."""
     qhq = q @ h @ q
-    u_qhq = _propagator(0.5 * (qhq + qhq.conj().T), hbar)   # scrub roundoff
+    u_qhq = _propagator(0.5 * (qhq + qhq.conj().T))   # scrub roundoff
     return lambda s: q @ u_qhq(s) @ q
 
 
-def evolve(H, t: float, hbar: float = 1.0) -> Operator:
+def evolve(H, t: float) -> Operator:
     """exp(-iHt/ħ) through the eigendecomposition of hermitian H.
 
     The result is unitary to machine precision for any finite t.
     """
     _check_time(t)
-    return Operator(_propagator(H, hbar)(t))
+    return Operator(_propagator(H)(t))
 
 
-def pdot(H, P, hbar: float = 1.0) -> Operator:
+def pdot(H, P) -> Operator:
     """Heisenberg velocity of the projector: Ṗ = (i/ħ)[H, P]."""
     h, p = _as_matrix(H), _as_matrix(P)
     if h.shape != p.shape:
         raise ValueError(f"dimension mismatch: H is {h.shape}, P is {p.shape}")
-    return Operator((1j / hbar) * (h @ p - p @ h))
+    return Operator(1j * (h @ p - p @ h))
 
 
 def _check_projector(P, what: str = "P") -> np.ndarray:
@@ -253,15 +253,14 @@ def _check_projector(P, what: str = "P") -> np.ndarray:
     return p
 
 
-def decomposition_of_unity_residual(H, P, schedule: ZenoSchedule,
-                                    hbar: float = 1.0) -> float:
+def decomposition_of_unity_residual(H, P, schedule: ZenoSchedule) -> float:
     """Residual ‖1 - [P + Σ_k P(t_k)Q(t_{k-1})···Q + Q(t_n)···Q]‖.
 
     The bracketed sum telescopes to the identity for every n and every set of
     times, so the residual is pure numerical noise; anything above ~1e-12
     indicates a broken projector or evolution.
     """
-    u_of = _propagator(H, hbar)
+    u_of = _propagator(H)
     p = _check_projector(P)
     q = np.eye(p.shape[0]) - p
     total = p.copy()
@@ -288,7 +287,7 @@ def _zeno_power(u_of: Callable[[float], np.ndarray], q: np.ndarray,
     return q @ np.linalg.matrix_power(u_of(dt) @ q, n)
 
 
-def zeno_product(H, Q, schedule: ZenoSchedule, hbar: float = 1.0) -> Operator:
+def zeno_product(H, Q, schedule: ZenoSchedule) -> Operator:
     """Finite-n Zeno approximant U(nδt) Q(nδt) ··· Q(δt) Q of U_r(t).
 
     Telescoping the Heisenberg projectors gives the equivalent stable form
@@ -296,11 +295,11 @@ def zeno_product(H, Q, schedule: ZenoSchedule, hbar: float = 1.0) -> Operator:
     For n = 0 the product degenerates to Q itself.
     """
     q = _check_projector(Q, "Q")
-    u_of = _propagator(H, hbar)
+    u_of = _propagator(H)
     return Operator(_zeno_power(u_of, q, schedule.dt, schedule.n))
 
 
-def restricted_limit(H, Q, t: float, hbar: float = 1.0) -> Operator:
+def restricted_limit(H, Q, t: float) -> Operator:
     """Generator form Q exp(-i QHQ t/ħ) Q of the restricted propagator.
 
     In finite dimension the Zeno product converges to this at rate O(1/n);
@@ -309,7 +308,7 @@ def restricted_limit(H, Q, t: float, hbar: float = 1.0) -> Operator:
     _check_time(t)
     h = _hermitian(H)
     q = _check_projector(Q, "Q")
-    return Operator(_restricted_generator(h, q, hbar)(t))
+    return Operator(_restricted_generator(h, q)(t))
 
 
 def _richardson(u_of: Callable[[float], np.ndarray], q: np.ndarray,
@@ -320,14 +319,14 @@ def _richardson(u_of: Callable[[float], np.ndarray], q: np.ndarray,
     return 2.0 * z_2n - z_n
 
 
-def zeno_limit_richardson(H, Q, t: float, n: int, hbar: float = 1.0) -> Operator:
+def zeno_limit_richardson(H, Q, t: float, n: int) -> Operator:
     """Richardson step in 1/n: 2·Z(2n) - Z(n) cancels the leading Zeno error."""
     q = _check_projector(Q, "Q")
-    return Operator(_richardson(_propagator(H, hbar), q, t, n))
+    return Operator(_richardson(_propagator(H), q, t, n))
 
 
 def pdx_assemble(H, P, t: float, n_zeno: int, n_quad: int,
-                 hbar: float = 1.0, ur: str = "zeno") -> PdxTerms:
+                 ur: str = "zeno") -> PdxTerms:
     """Assemble boundary, crossing, and restricted terms of the propagator split.
 
     The crossing convolution ∫₀ᵗ ds U(t-s) Ṗ U_r(s) uses composite Simpson on
@@ -358,11 +357,11 @@ def pdx_assemble(H, P, t: float, n_zeno: int, n_quad: int,
     p = _check_projector(P)
     q = np.eye(p.shape[0]) - p
     evals, vecs = np.linalg.eigh(h)
-    u_of = _eigen_propagator(evals, vecs, hbar)
+    u_of = _eigen_propagator(evals, vecs)
     n_int = n_quad - 1
 
     if ur == "limit":
-        n_slices, blocks = n_int, (_restricted_generator(h, q, hbar)(t / n_int),)
+        n_slices, blocks = n_int, (_restricted_generator(h, q)(t / n_int),)
     else:
         n_slices = n_zeno
         step = u_of(t / n_zeno) @ q
@@ -371,9 +370,9 @@ def pdx_assemble(H, P, t: float, n_zeno: int, n_quad: int,
     per_node = n_slices // n_int
 
     vecs_h = vecs.conj().T
-    lead = vecs_h @ pdot(h, p, hbar).mat         # V†Ṗ
+    lead = vecs_h @ pdot(h, p).mat         # V†Ṗ
     lead_q = lead @ q @ vecs                     # V†ṖQV, for partial slices
-    decay = np.exp(-1j * evals * (t / n_int / hbar))[:, None]
+    decay = np.exp(-1j * evals * (t / n_int))[:, None]
     weights = simpson_weights(n_quad, t / n_int)
 
     carry = q.astype(complex)                    # Q·S^{m_j}
@@ -384,7 +383,7 @@ def pdx_assemble(H, P, t: float, n_zeno: int, n_quad: int,
         carry = carry @ blocks[m_j - m_prev - per_node]
         m_prev = m_j
         if rem:
-            part = np.exp(-1j * evals * (t * rem / (n_slices * n_int) / hbar))
+            part = np.exp(-1j * evals * (t * rem / (n_slices * n_int)))
             term = (lead_q * part) @ (vecs_h @ carry)
         else:
             term = lead @ carry
@@ -407,7 +406,6 @@ def _check_density_matrix(rho) -> np.ndarray:
 
 
 def decoherence_functional(H, Q, rho, t: float, n_zeno: int,
-                           hbar: float = 1.0,
                            richardson: bool = False) -> DecoherenceMatrix:
     """d(i,j) = Tr(C_i ρ C_j†) for the pair "stayed in Q" vs "crossed".
 
@@ -423,7 +421,7 @@ def decoherence_functional(H, Q, rho, t: float, n_zeno: int,
     """
     rho_m = _check_density_matrix(rho)
     schedule = ZenoSchedule(t, n_zeno)
-    u_of = _propagator(H, hbar)
+    u_of = _propagator(H)
     q = _check_projector(Q, "Q")
     if richardson:
         u_r = _richardson(u_of, q, t, n_zeno)
@@ -437,7 +435,6 @@ class NoGoReport:
     """Numerical record of the obstruction to [H, T] = iħ·1 in finite dimension."""
 
     dim: int
-    hbar: float
     trials: int
     seed: int
     trace_target: complex                  # trace of iħ·1 = iħ·dim
@@ -448,8 +445,8 @@ class NoGoReport:
     frobenius_floor: float                 # ħ·√dim
 
 
-def conjugate_time_no_go(H, trials: int = 1000, rng_seed: int = 42,
-                         hbar: float = 1.0) -> NoGoReport:
+def conjugate_time_no_go(H, trials: int = 1000,
+                         rng_seed: int = 42) -> NoGoReport:
     """Sample hermitian T and document why no T can satisfy [H, T] = iħ·1.
 
     Every commutator is traceless while iħ·1 has trace iħ·dim, so the defect
@@ -461,7 +458,7 @@ def conjugate_time_no_go(H, trials: int = 1000, rng_seed: int = 42,
         raise ValueError(f"trials must be >= 1, got {trials}")
     dim = h.shape[0]
     rng = np.random.default_rng(rng_seed)
-    target = 1j * hbar * np.eye(dim)
+    target = 1j * np.eye(dim)
     max_trace = 0.0
     min_spec = np.inf
     min_frob = np.inf
@@ -474,13 +471,13 @@ def conjugate_time_no_go(H, trials: int = 1000, rng_seed: int = 42,
         min_spec = min(min_spec, np.linalg.norm(defect, 2))
         min_frob = min(min_frob, np.linalg.norm(defect, "fro"))
     return NoGoReport(
-        dim=dim, hbar=hbar, trials=trials, seed=rng_seed,
-        trace_target=complex(1j * hbar * dim),
+        dim=dim, trials=trials, seed=rng_seed,
+        trace_target=complex(1j * dim),
         max_abs_trace_commutator=float(max_trace),
         min_defect_spectral=float(min_spec),
         min_defect_frobenius=float(min_frob),
-        spectral_floor=float(hbar),
-        frobenius_floor=float(hbar * np.sqrt(dim)),
+        spectral_floor=1.0,
+        frobenius_floor=float(np.sqrt(dim)),
     )
 
 
@@ -496,14 +493,13 @@ class TwoStateSystem:
     """
 
     omega: float
-    hbar: float = 1.0
 
     def __post_init__(self):
         if not np.isfinite(self.omega):
             raise ValueError(f"omega must be finite, got {self.omega}")
 
     def hamiltonian(self) -> Operator:
-        return Operator(self.hbar * self.omega *
+        return Operator(self.omega *
                         np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
     def projector_up(self) -> Operator:

@@ -11,8 +11,8 @@ Oracles
 * every consistency row must satisfy the sum rule
   p_same + p_cross + 2·Re d12 = 1 regardless of parameters.
 * byte-level determinism: one resolved configuration renders to one
-  file, across repeated runs, across --parallel, and across feeding the
-  emitted metadata lines back in as a config file.
+  file, across repeated runs and across feeding the emitted metadata
+  lines back in as a config file.
 """
 
 import json
@@ -475,24 +475,6 @@ class TestDeterminism:
         for out in (a, b):
             proc = run_cli("zeno-converge", "--out", str(out))
             assert proc.returncode == 0, proc.stderr
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_parallel_does_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        proc = run_cli("zeno-converge", "--out", str(a))
-        assert proc.returncode == 0, proc.stderr
-        proc = run_cli("zeno-converge", "--parallel", "--out", str(b))
-        assert proc.returncode == 0, proc.stderr
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_line_ladder_parallel_does_not_change_bytes(self, tmp_path):
-        # the line ladder is one pass, which --parallel leaves whole
-        a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        args = ("pdx-verify", "--system", "line", "--beta", "-0.7")
-        proc = run_cli(*args, "--out", str(a))
-        assert proc.returncode == 0, proc.stderr
-        proc = run_cli(*args, "--parallel", "--out", str(b))
-        assert proc.returncode == 0, proc.stderr
         assert a.read_bytes() == b.read_bytes()
 
     def test_metadata_lines_round_trip_as_config(self, tmp_path):

@@ -95,13 +95,6 @@ class TestEvolve:
             expected = scipy.linalg.expm(-1j * h * t)
             assert op_norm(evolve(h, t).mat - expected) < 1e-11
 
-    def test_hbar_scaling(self):
-        rng = np.random.default_rng(2)
-        h = random_hermitian(rng, 3)
-        u1 = evolve(h, 1.0, hbar=2.0)
-        u2 = evolve(h, 0.5, hbar=1.0)
-        assert op_norm(u1.mat - u2.mat) < 1e-12
-
     def test_unitary_for_random_inputs(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -603,3 +596,29 @@ class TestSchedule:
             ZenoSchedule(-1.0, 3)
         with pytest.raises(ValueError):
             ZenoSchedule(1.0, -1)
+
+
+def test_natural_units_only():
+    """ħ = m = 1 throughout: no callable, method or dataclass field that
+    zenopath exports takes a parameter named hbar or mass."""
+    import dataclasses
+    import inspect
+
+    import zenopath
+
+    params = []
+    for name in dir(zenopath):
+        obj = getattr(zenopath, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        funcs = [obj]
+        if inspect.isclass(obj):
+            funcs = [getattr(v, "__func__", v) for v in vars(obj).values()]
+            funcs = [f for f in funcs if inspect.isfunction(f)]
+            if dataclasses.is_dataclass(obj):
+                params += [(name, f.name) for f in dataclasses.fields(obj)]
+        for f in funcs:
+            params += [(f"{name}.{f.__name__}", p)
+                       for p in inspect.signature(f).parameters]
+    assert len(params) > 100
+    assert [(where, p) for where, p in params if p in ("hbar", "mass")] == []
