@@ -17,10 +17,10 @@ half-integer offsets, p_j = -P + (j+½)Δp.  The p = 0 point, where the
 √|p| weight has a kink, is never sampled, and reversing the sample order
 realises the parity map p → -p exactly.  Time windows for normalization
 and moments are symmetric windows t_center + dt·k, |k| ≤ K, on one time
-lattice, widened until the captured mass stops changing; each round
-evaluates only the samples it adds.  An unconverged window raises
-ConvergenceAdvisory rather than returning a silently truncated
-distribution.
+lattice, widened by 1.6 per round until the captured mass changes by
+less than 1e-4; each round evaluates only the samples it adds.  A window
+still moving after 12 rounds raises ConvergenceAdvisory rather than
+returning a silently truncated distribution.
 
 Arrival at a general point x_a enters through the translation phase
 e^{ip·x_a/ħ} applied to ψ(p) before the x = 0 formulas.
@@ -40,6 +40,8 @@ from .qcore import DomainError
 _NEG_TOL = 1e-12          # pointwise positivity slack for the density
 _MASS_EXCESS = 1e-6       # allowed quadrature overshoot of the unit mass
 _GROWTH = 1.6             # factor by which each round widens the window
+_MAX_ROUNDS = 12          # widening rounds before the advisory
+_MASS_TOL = 1e-4          # captured-mass change between rounds that converges
 
 
 class ConvergenceAdvisory(RuntimeError):
@@ -168,8 +170,6 @@ class ArrivalDistribution:
     density: np.ndarray
     right_part: np.ndarray
     left_part: np.ndarray
-    dp: float
-    p_max: float
     x_arrival: float = 0.0
     smear_tau: float = 0.0
 
@@ -245,14 +245,11 @@ def _weights(state: MomentumState, x_arrival: float) -> np.ndarray:
                      scale * (1j * p) * psi], axis=1)
 
 
-def _distribution(state: MomentumState, t: np.ndarray, amp: np.ndarray,
+def _distribution(t: np.ndarray, amp: np.ndarray,
                   x_arrival: float) -> ArrivalDistribution:
     right, left = np.abs(amp.T) ** 2
-    dp = state.dp
     return ArrivalDistribution(t=t, density=right + left, right_part=right,
-                               left_part=left, dp=dp,
-                               p_max=float(np.max(np.abs(state.p)) + 0.5 * dp),
-                               x_arrival=x_arrival)
+                               left_part=left, x_arrival=x_arrival)
 
 
 def _current(amp: np.ndarray) -> np.ndarray:
@@ -267,7 +264,7 @@ def kijowski_density(state: MomentumState, t_grid,
     t0, dt = _time_grid(t)
     amp = _phase_apply(state, _weights(state, x_arrival)[:, :2], t0, dt, 0,
                        t.size)
-    return _distribution(state, t, amp, x_arrival)
+    return _distribution(t, amp, x_arrival)
 
 
 def current_density_at_origin(state: MomentumState, t_grid,
@@ -301,24 +298,22 @@ def arrival_moments(dist: ArrivalDistribution, order: int) -> float:
 
 def converged_density(state: MomentumState, t_center: float | None = None,
                       half_width: float = 5.0, dt: float = 0.02,
-                      tol: float = 1e-4, max_rounds: int = 12,
                       x_arrival: float = 0.0) -> ArrivalDistribution:
     """Widen the time window about t_center until the mass stops moving.
 
     The windows are nested on one lattice t_center + dt·k: round r keeps
     |k| ≤ K_r = round(w_r/dt), where the half width w_r = half_width·1.6^r
     grows geometrically, and evaluates only the samples it adds at the two
-    edges.  Convergence means the captured mass changes by less than tol
-    between rounds.  With t_center omitted it is estimated from the
-    classical flight time (x_a - ⟨x⟩)·m/⟨p⟩.
+    edges.  Convergence means the captured mass changes by less than 1e-4
+    between rounds; after 12 rounds without it, ConvergenceAdvisory.  With
+    t_center omitted it is estimated from the classical flight time
+    (x_a - ⟨x⟩)·m/⟨p⟩.
     """
-    return _converged_window(state, t_center, half_width, dt, tol,
-                             max_rounds, x_arrival)[0]
+    return _converged_window(state, t_center, half_width, dt, x_arrival)[0]
 
 
 def _converged_window(state: MomentumState, t_center: float | None = None,
                       half_width: float = 5.0, dt: float = 0.02,
-                      tol: float = 1e-4, max_rounds: int = 12,
                       x_arrival: float = 0.0
                       ) -> tuple[ArrivalDistribution, np.ndarray]:
     """`converged_density` plus the flux on the same window, from the same
@@ -328,6 +323,15 @@ def _converged_window(state: MomentumState, t_center: float | None = None,
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if not math.isfinite(x_arrival):
         raise ValueError(f"x_arrival must be finite, got {x_arrival}")
+    # every round's lattice half width K_r, before any sample is evaluated
+    w, ks = half_width, []
+    for _ in range(_MAX_ROUNDS):
+        if not math.isfinite(w / dt):
+            raise ValueError("the widest window half_width*"
+                             f"{_GROWTH}^{_MAX_ROUNDS - 1}/dt must be "
+                             f"positive and finite, got {w / dt}")
+        ks.append(max(int(round(w / dt)), 1))
+        w *= _GROWTH
     if t_center is None:
         pbar = state.mean_momentum()
         if abs(pbar) < 1e-9:
@@ -339,10 +343,8 @@ def _converged_window(state: MomentumState, t_center: float | None = None,
     weights = _weights(state, x_arrival)
     k = 0
     amp = _phase_apply(state, weights, t_center, dt, 0, 1)
-    w = half_width
     prev = None
-    for _ in range(max_rounds):
-        k_new = max(int(round(w / dt)), 1)
+    for k_new in ks:
         grown = k_new - k
         amp = np.concatenate([
             _phase_apply(state, weights, t_center, dt, -k_new, grown), amp,
@@ -350,19 +352,18 @@ def _converged_window(state: MomentumState, t_center: float | None = None,
         k = k_new
         t = t_center + dt * np.arange(-k, k + 1)
         try:
-            dist = _distribution(state, t, amp[:, :2], x_arrival)
+            dist = _distribution(t, amp[:, :2], x_arrival)
         except CapturedMassExcess as exc:
             raise ConvergenceAdvisory(
                 "window widening drove the captured mass past unity; the "
                 "state carries weight near p = 0 whose slow arrival tail "
                 "this momentum grid cannot resolve") from exc
         mass = dist.captured_mass()
-        if prev is not None and abs(mass - prev) < tol:
+        if prev is not None and abs(mass - prev) < _MASS_TOL:
             return dist, _current(amp[:, 2:])
         prev = mass
-        w *= _GROWTH
     raise ConvergenceAdvisory(
-        f"arrival window failed to converge after {max_rounds} widenings "
+        f"arrival window failed to converge after {_MAX_ROUNDS} widenings "
         f"(last captured mass {prev:.6f})")
 
 
@@ -393,5 +394,4 @@ def smeared_density(dist: ArrivalDistribution, tau: float) -> ArrivalDistributio
     left = np.convolve(dist.left_part, kernel, mode="same")
     return ArrivalDistribution(t=dist.t, density=right + left,
                                right_part=right, left_part=left,
-                               dp=dist.dp, p_max=dist.p_max,
                                x_arrival=dist.x_arrival, smear_tau=tau)

@@ -419,6 +419,8 @@ def cmd_histories(cfg: RunConfig) -> ResultTable:
     beta = p["beta"]
     for t in (p["t_min"], p["t_max"]):
         _check_time(t, nonnegative=True)
+    if p["n_t"] < 1:
+        raise ValueError(f"n_t must be >= 1, got {p['n_t']}")
     t_end = max(p["t_min"], p["t_max"])
     horizon = reflection_safe_horizon(psi)
     if t_end > horizon:

@@ -25,6 +25,11 @@ a(s) = (U_r ψ)(0) and b(s) = ∂ₓ(U_r ψ)(0):
 with g the free kernel.  The integrable endpoint of the convolution is
 handled by the substitution s = t - u².
 
+States are position samples only: momentum enters through the FFT
+wavenumbers of the grid (`SpatialGrid.k`), never as a second state type.
+The free-particle momentum state of the arrival module is
+`arrival.MomentumState`.
+
 Natural units: m = ħ = 1 throughout.
 """
 
@@ -90,15 +95,12 @@ class WaveFunction:
 
     grid: SpatialGrid
     samples: np.ndarray
-    representation: str = "position"
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
         if self.samples.shape != (self.grid.n,):
             raise ValueError(f"expected {self.grid.n} samples, "
                              f"got shape {self.samples.shape}")
-        if self.representation not in ("position", "momentum"):
-            raise ValueError(f"unknown representation {self.representation!r}")
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.grid.dx))
@@ -109,11 +111,11 @@ class WaveFunction:
             raise ValueError("cannot normalise a state with non-finite samples")
         if nrm < 1e-14:
             raise DomainError("cannot normalise a (near) null state")
-        return WaveFunction(self.grid, self.samples / nrm, self.representation)
+        return WaveFunction(self.grid, self.samples / nrm)
 
     def inner(self, other: "WaveFunction") -> complex:
-        if other.grid != self.grid or other.representation != self.representation:
-            raise ValueError("inner product needs matching grids and representations")
+        if other.grid != self.grid:
+            raise ValueError("inner product needs matching grids")
         return complex(np.vdot(self.samples, other.samples) * self.grid.dx)
 
 
@@ -170,48 +172,13 @@ def free_kernel(x, y, t: float):
     return amp * np.exp(1j * (x - y) ** 2 / (2 * t))
 
 
-def to_momentum(psi: WaveFunction) -> WaveFunction:
-    """Unitary transform to φ(p) = (2πħ)^{-1/2} ∫ ψ(x) e^{-ipx/ħ} dx."""
-    if psi.representation != "position":
-        raise ValueError("state is already in momentum representation")
-    g = psi.grid
-    k = g.k
-    phi = g.dx / np.sqrt(2 * np.pi) * np.fft.fft(psi.samples)
-    phi *= np.exp(-1j * k * g.x_min)
-    order = np.argsort(k, kind="stable")
-    p = k[order]
-    dp = p[1] - p[0]
-    pgrid = SpatialGrid(p[0], p[0] + dp * g.n, g.n)
-    return WaveFunction(pgrid, phi[order], "momentum")
-
-
-def to_position(phi: WaveFunction, grid: SpatialGrid) -> WaveFunction:
-    """Inverse of to_momentum back onto the originating position grid."""
-    if phi.representation != "momentum":
-        raise ValueError("state is not in momentum representation")
-    k_sorted = phi.grid.x
-    k = grid.k
-    order = np.argsort(k, kind="stable")
-    spec = np.empty(grid.n, dtype=complex)
-    if not np.allclose(k[order], k_sorted, atol=1e-9):
-        raise ValueError("momentum grid does not match the target position grid")
-    spec[order] = phi.samples
-    spec *= np.exp(1j * k * grid.x_min)
-    psi = np.fft.ifft(spec) * np.sqrt(2 * np.pi) / grid.dx
-    return WaveFunction(grid, psi, "position")
-
-
 def spectral_evolve_line(psi: WaveFunction, t: float) -> WaveFunction:
     """Free evolution by phase e^{-ip²t/2mħ}; exact dispersion on the grid,
     valid for either sign of t."""
     _check_time(t)
-    if psi.representation == "momentum":
-        p = psi.grid.x
-        out = psi.samples * np.exp(-1j * p ** 2 * t / 2)
-        return WaveFunction(psi.grid, out, "momentum")
     g = psi.grid
     spec = np.fft.fft(psi.samples) * np.exp(-1j * g.k ** 2 * t / 2)
-    return WaveFunction(g, np.fft.ifft(spec), "position")
+    return WaveFunction(g, np.fft.ifft(spec))
 
 
 def phq_nonzero_check(psi: WaveFunction) -> float:
@@ -505,9 +472,8 @@ def production_route(sys: HalfLineSystem) -> str:
 
 
 def restricted_propagate(psi_half: WaveFunction, sys: HalfLineSystem, t: float,
-                         method: str = "eig",
-                         reverse: bool = False) -> WaveFunction:
-    """U_r^β(t) ψ = exp(-iH_β t/ħ) ψ on [0, L].
+                         method: str = "eig") -> WaveFunction:
+    """U_r^β(t) ψ = exp(-iH_β t/ħ) ψ on [0, L], forward in time (t ≥ 0).
 
     method="eig" uses the eigendecomposition of the discrete H_β (every β;
     O(n³) once per system, then O(n²), and it conserves the half-cell-weighted
@@ -515,23 +481,22 @@ def restricted_propagate(psi_half: WaveFunction, sys: HalfLineSystem, t: float,
     method="images" uses the parity extension (β = 0 and NEUMANN only).
     method="intertwine" (finite β ≠ 0) maps ψ to the hard wall with D_h,
     evolves by images and maps back; spectral in time, O(dx²) from D_h,
-    exactly the identity at t = 0 and exactly reversible.
-    Forward evolution only; set reverse=True for the documented time-reversed
-    branch exp(+iH_β t/ħ).
+    exactly the identity at t = 0 and exactly reversible.  The route
+    kernels (`image_method_propagate`, `_intertwine_propagate`,
+    `_propagate_half_samples`) take either sign of t.
     """
     _check_time(t, nonnegative=True)
     if psi_half.grid != sys.half_grid():
         raise ValueError("state grid does not match the half-line system")
-    t_eff = -t if reverse else t
     if method == "images":
-        return image_method_propagate(psi_half, sys, t_eff)
+        return image_method_propagate(psi_half, sys, t)
     if method == "intertwine":
         if sys.is_dirichlet or sys.is_neumann:
             raise ValueError("intertwine needs a finite beta != 0; "
                              "the parity walls take method='images'")
-        out = _intertwine_propagate(psi_half.samples, sys, t_eff)
+        out = _intertwine_propagate(psi_half.samples, sys, t)
     elif method == "eig":
-        out = _propagate_half_samples(psi_half.samples, sys, t_eff)
+        out = _propagate_half_samples(psi_half.samples, sys, t)
     else:
         raise ValueError(f"unknown method {method!r}")
     return WaveFunction(sys.half_grid(), out)
@@ -598,7 +563,7 @@ class LinePdxParts:
 
 
 def line_pdx_terms(psi: WaveFunction, sys: HalfLineSystem, t: float,
-                   n_quad: int = 400, k_cut: float | None = None) -> LinePdxParts:
+                   n_quad: int = 400) -> LinePdxParts:
     """Assemble the line split for a state supported in x ≥ 0.
 
     The crossing convolution is evaluated in the grid's own momentum basis,
@@ -613,29 +578,28 @@ def line_pdx_terms(psi: WaveFunction, sys: HalfLineSystem, t: float,
       for the jump and kink the crossing term carries at x = 0, valid
       precisely where the oscillation e^{-iħk²u²/2m} outruns any quadrature.
 
-    k_cut defaults to the largest wavenumber the θ grid resolves
-    (phase step ≤ 0.4 rad); pass a value to override.  The phase table
+    k_cut is the largest wavenumber the θ grid resolves (phase step
+    ≤ 0.4 rad), capped at 0.9 k_Nyquist; the parts report it.  The phase table
     e^{-iħk²u²/2m} is built over |k| only (k² is even), and the wall values
     a(s), b(s) at s = t - u² are read through it.  This is the one-rung
     case of `line_pdx_ladder`.
     """
-    return _line_pdx_parts(psi, sys, t, [n_quad], k_cut)[0]
+    return _line_pdx_parts(psi, sys, t, [n_quad])[0]
 
 
 def line_pdx_ladder(psi: WaveFunction, sys: HalfLineSystem, t: float,
-                    ladder: list[int], k_cut: float | None = None) -> list[float]:
+                    ladder: list[int]) -> list[float]:
     """`line_pdx_residual` for every n_quad of a refinement ladder, in one
     pass: U(t)ψ, U_r^β(t)ψ and the wall probe are computed once, and a rung
     whose θ nodes are a strided subset of a finer rung's reads that rung's
     phase table and wall values instead of building its own.  The whole
     ladder is validated before any work."""
     return [parts.residual_norm(sys.dx)
-            for parts in _line_pdx_parts(psi, sys, t, ladder, k_cut)]
+            for parts in _line_pdx_parts(psi, sys, t, ladder)]
 
 
 def _line_pdx_parts(psi: WaveFunction, sys: HalfLineSystem, t: float,
-                    ladder: list[int],
-                    k_cut: float | None = None) -> list[LinePdxParts]:
+                    ladder: list[int]) -> list[LinePdxParts]:
     """The line split for each n_quad of `ladder`, in ladder order."""
     if not (np.isfinite(t) and t > 0):
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -645,8 +609,8 @@ def _line_pdx_parts(psi: WaveFunction, sys: HalfLineSystem, t: float,
     for n_quad in ladder:
         if n_quad < 2 or n_quad % 2:
             raise ValueError(f"n_quad must be even and >= 2, got {n_quad}")
-    if psi.representation != "position" or psi.grid != sys.full_grid():
-        raise ValueError("psi must be a position state on the system's full grid")
+    if psi.grid != sys.full_grid():
+        raise ValueError("psi must be a state on the system's full grid")
     n, dx = sys.n, sys.dx
     samples = psi.samples
     left_mass = np.sqrt(np.sum(np.abs(samples[:n]) ** 2) * dx)
@@ -709,12 +673,9 @@ def _line_pdx_parts(psi: WaveFunction, sys: HalfLineSystem, t: float,
         i_a = (a_s[0] - a_s[-1] * tail) * inv / 1j
         src_asym = i_b + 1j * k * i_a
 
-        if k_cut is None:
-            # phase step (ħk²t/2m)·(π/2n_quad)·|sin 2θ| ≤ 0.4 rad in the zone
-            rung_cut = np.sqrt(0.4 * (4 / np.pi) * n_quad / t)
-        else:
-            rung_cut = k_cut
-        rung_cut = float(min(rung_cut, 0.9 * k_nyq))
+        # phase step (ħk²t/2m)·(π/2n_quad)·|sin 2θ| ≤ 0.4 rad in the zone
+        rung_cut = float(min(np.sqrt(0.4 * (4 / np.pi) * n_quad / t),
+                             0.9 * k_nyq))
         w_q = _raised_cosine_window(k, 0.7 * rung_cut, rung_cut)
         source = w_q * src_quad + (1.0 - w_q) * src_asym
         parts[n_quad] = LinePdxParts(evolved=evolved,
@@ -784,6 +745,6 @@ def _wall_probe(h0: np.ndarray, sys: HalfLineSystem) -> tuple[np.ndarray, np.nda
 
 
 def line_pdx_residual(psi: WaveFunction, sys: HalfLineSystem, t: float,
-                      n_quad: int = 400, k_cut: float | None = None) -> float:
+                      n_quad: int = 400) -> float:
     """‖U(t)ψ - [crossing + U_r^β(t)ψ]‖ over the full grid."""
-    return line_pdx_ladder(psi, sys, t, [n_quad], k_cut)[0]
+    return line_pdx_ladder(psi, sys, t, [n_quad])[0]

@@ -25,6 +25,12 @@ restriction is the strict complement, and the left evolution reads its
 boundary value at x = 0 from the (continuous) state rather than
 extrapolating.
 
+States are position samples (`halfline.WaveFunction`) on a grid symmetric
+about x = 0.  The numerical choices are fixed module constants: the
+reflection-safe horizon keeps a margin of 2 from the grid edges and reads
+support and bandwidth at the 1e-6 mass quantile, and `robin_state_builder`
+mixes two fixed Gaussians.
+
 Natural units: m = ħ = 1 throughout.
 """
 
@@ -44,9 +50,14 @@ from .halfline import (
     production_route,
     restricted_propagate,
     spectral_evolve_line,
-    to_momentum,
 )
 from .qcore import DecoherenceMatrix, _check_time
+
+_HORIZON_MARGIN = 2.0     # distance kept from the grid edges by the horizon
+_HORIZON_TAIL = 1e-6      # mass quantile at which support and bandwidth are read
+# robin_state_builder's two Gaussians, (centre, momentum, width) each
+_ROBIN_FIRST = (4.0, -1.0, 1.2)
+_ROBIN_SECOND = (7.0, 0.6, 1.6)
 
 
 @dataclass(frozen=True)
@@ -55,8 +66,6 @@ class HistoryPair:
 
     t: float
     beta: float | str
-    label_same: str = "stays same side of x=0"
-    label_cross: str = "crosses x=0"
 
     def __post_init__(self):
         _check_time(self.t, nonnegative=True)
@@ -77,14 +86,13 @@ class ConsistencyVerdict:
     p_cross: float
     re_d12: float
     im_d12: float
-    tol: float
     consistent: bool
 
     @classmethod
     def from_matrix(cls, dm: DecoherenceMatrix, tol: float) -> "ConsistencyVerdict":
         return cls(p_same=dm.d11, p_cross=dm.d22,
                    re_d12=dm.d12.real, im_d12=dm.d12.imag,
-                   tol=tol, consistent=dm.is_consistent(tol))
+                   consistent=dm.is_consistent(tol))
 
     def sum_rule_residual(self) -> float:
         return abs(self.p_same + self.p_cross + 2 * self.re_d12 - 1.0)
@@ -106,8 +114,6 @@ def mirror_beta(beta: float | str) -> float | str:
 
 
 def _split_context(psi: WaveFunction, beta):
-    if psi.representation != "position":
-        raise ValueError("history amplitudes need a position-representation state")
     g = psi.grid
     if not g.is_symmetric():
         raise ValueError("history amplitudes need a grid symmetric about x = 0")
@@ -174,7 +180,7 @@ def _split_matrix(split: ClassSplit) -> DecoherenceMatrix:
 
 
 def decoherence_line(psi: WaveFunction, pair: HistoryPair) -> DecoherenceMatrix:
-    """d(i,j) = ⟨C_jψ|C_iψ⟩ for the pure state ψ; labels ("stay", "cross")."""
+    """d(i,j) = ⟨C_jψ|C_iψ⟩ for the pure state ψ, in the order (stay, cross)."""
     return _split_matrix(class_amplitudes(psi, pair))
 
 
@@ -184,26 +190,27 @@ def consistency_verdict(psi: WaveFunction, pair: HistoryPair,
     return ConsistencyVerdict.from_matrix(decoherence_line(psi, pair), tol)
 
 
-def reflection_safe_horizon(psi: WaveFunction, margin: float = 2.0,
-                            tail: float = 1e-6) -> float:
+def reflection_safe_horizon(psi: WaveFunction) -> float:
     """Largest t before the state's fast tail can reach the outer grid edges.
 
-    Support and bandwidth are read off at the `tail` mass quantile; the
-    horizon is (edge distance - margin) / v_max.  Past it, wrap-around
+    Support and bandwidth are read off at the 1e-6 mass quantile, the
+    bandwidth from |FFT ψ|² in ascending wavenumber on p_j = k_min + Δk·j;
+    the horizon is (edge distance - 2) / v_max.  Past it, wrap-around
     contaminates full-line evolution and verdicts stop being meaningful.
     """
     g = psi.grid
     w = np.abs(psi.samples) ** 2
     cum = np.cumsum(w) / np.sum(w)
-    x_lo = g.x[int(np.searchsorted(cum, tail))]
-    x_hi = g.x[min(int(np.searchsorted(cum, 1.0 - tail)), g.n - 1)]
-    ph = to_momentum(psi) if psi.representation == "position" else psi
-    pw = np.abs(ph.samples) ** 2
+    x_lo = g.x[int(np.searchsorted(cum, _HORIZON_TAIL))]
+    x_hi = g.x[min(int(np.searchsorted(cum, 1.0 - _HORIZON_TAIL)), g.n - 1)]
+    k = np.fft.fftshift(g.k)
+    p = k[0] + (k[1] - k[0]) * np.arange(g.n)
+    pw = np.abs(np.fft.fftshift(np.fft.fft(psi.samples))) ** 2
     pcum = np.cumsum(pw) / np.sum(pw)
-    p_lo = ph.grid.x[int(np.searchsorted(pcum, tail))]
-    p_hi = ph.grid.x[min(int(np.searchsorted(pcum, 1.0 - tail)), ph.grid.n - 1)]
+    p_lo = p[int(np.searchsorted(pcum, _HORIZON_TAIL))]
+    p_hi = p[min(int(np.searchsorted(pcum, 1.0 - _HORIZON_TAIL)), g.n - 1)]
     v_max = max(abs(p_lo), abs(p_hi))
-    room = min(g.x_max - x_hi, x_lo - g.x_min) - margin
+    room = min(g.x_max - x_hi, x_lo - g.x_min) - _HORIZON_MARGIN
     if room <= 0:
         return 0.0
     if v_max < 1e-12:
@@ -322,15 +329,19 @@ def beta_condition_scan(builder: Callable[[float | str, SpatialGrid], WaveFuncti
     return sorted(rows, key=key)
 
 
-def robin_state_builder(x1: float = 4.0, p1: float = -1.0, s1: float = 1.2,
-                        x2: float = 7.0, p2: float = 0.6, s2: float = 1.6):
+def robin_state_builder():
     """Family of smooth two-Gaussian states meeting the wall condition at t=0.
 
     For finite β the mixing coefficient solves (G₁+λG₂)(0) = β(G₁+λG₂)'(0)
     in closed form; the hard wall instead takes the antisymmetrized first
     Gaussian (a node at the origin that persists), the reflecting wall the
     symmetrized one (a flat point that persists).  Returns builder(β, grid).
+    The second Gaussian never meets the condition on its own: with p₂ ≠ 0,
+    |G₂(0) - βG₂'(0)| ≥ |G₂(0)|·|p₂|/|x₂/2σ₂² + ip₂| ≈ 3.4e-3 for every
+    real β, so λ always exists.
     """
+    x1, p1, s1 = _ROBIN_FIRST
+    x2, p2, s2 = _ROBIN_SECOND
 
     def g_at_zero(x0, p0, sig):
         val = np.exp(-x0 ** 2 / (4 * sig ** 2) - 1j * p0 * x0)
@@ -346,10 +357,7 @@ def robin_state_builder(x1: float = 4.0, p1: float = -1.0, s1: float = 1.2,
         else:
             v1, d1 = g_at_zero(x1, p1, s1)
             v2, d2 = g_at_zero(x2, p2, s2)
-            den = v2 - beta * d2
-            if abs(den) < 1e-8 * max(abs(v2), abs(beta * d2), 1.0):
-                raise ValueError(f"builder family degenerate at beta={beta}")
-            lam = -(v1 - beta * d1) / den
+            lam = -(v1 - beta * d1) / (v2 - beta * d2)
             g2 = np.exp(-((x - x2) ** 2) / (4 * s2 ** 2) + 1j * p2 * (x - x2))
             return WaveFunction(grid, g1 + lam * g2).normalized()
         idx = (-np.arange(grid.n)) % grid.n

@@ -140,7 +140,6 @@ class PdxTerms:
     boundary: Operator      # U(t) P
     crossing: Operator      # ∫₀ᵗ ds U(t-s) Ṗ U_r(s)
     restricted: Operator    # U_r(t)
-    quad_points: int
 
     @property
     def total(self) -> Operator:
@@ -149,10 +148,10 @@ class PdxTerms:
 
 @dataclass(frozen=True)
 class DecoherenceMatrix:
-    """2x2 decoherence functional d(i,j) = Tr(C_i ρ C_j†) for a history pair."""
+    """2x2 decoherence functional d(i,j) = Tr(C_i ρ C_j†) for a history
+    pair, index 0 the history that stays, 1 the one that crosses."""
 
     d: np.ndarray
-    labels: tuple[str, str] = ("stay", "cross")
 
     @property
     def d11(self) -> float:
@@ -391,7 +390,7 @@ def pdx_assemble(H, P, t: float, n_zeno: int, n_quad: int,
 
     return PdxTerms(boundary=Operator(u_of(t) @ p),
                     crossing=Operator(vecs @ acc),
-                    restricted=Operator(carry), quad_points=n_quad)
+                    restricted=Operator(carry))
 
 
 def _check_density_matrix(rho) -> np.ndarray:

@@ -149,7 +149,7 @@ class TestArrivalDistributionType:
     def build(self, den, rp, lp, t=None):
         t = np.array([0.0, 1.0, 2.0]) if t is None else t
         return ArrivalDistribution(t=t, density=den, right_part=rp,
-                                   left_part=lp, dp=0.1, p_max=4.0)
+                                   left_part=lp)
 
     def test_component_split_enforced(self):
         z = np.zeros(3)
@@ -355,7 +355,7 @@ class TestConvergedDensity:
     @pytest.mark.parametrize("kwargs", [
         {"dt": 0.0}, {"dt": -0.02}, {"dt": math.nan}, {"dt": math.inf},
         {"half_width": 0.0}, {"half_width": math.nan},
-        {"half_width": math.inf},
+        {"half_width": math.inf}, {"half_width": 1e308, "dt": 1e-10},
     ])
     def test_bad_window_rejected(self, kwargs):
         with pytest.raises(ValueError, match="must be positive and finite"):
@@ -368,9 +368,10 @@ class TestConvergedDensity:
         with pytest.raises(ValueError, match=match):
             converged_density(arrival_packet(), **kwargs)
 
-    def test_exhausted_widening_raises_advisory(self):
+    def test_exhausted_widening_raises_advisory(self, monkeypatch):
+        monkeypatch.setattr(arrival, "_MAX_ROUNDS", 1)
         with pytest.raises(ConvergenceAdvisory, match="converge"):
-            converged_density(arrival_packet(), max_rounds=1)
+            converged_density(arrival_packet())
 
     def test_slow_tail_raises_advisory(self):
         # strong weight near p = 0: the late-arrival tail outruns any

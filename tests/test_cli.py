@@ -530,7 +530,8 @@ class TestResolutionAndLayout:
         assert not out.exists()
 
     # NaN passes a sign check, so each input needs a finiteness check that
-    # names it; without one the run writes NaN rows or fails later elsewhere
+    # names it; without one the run writes NaN rows or fails later elsewhere.
+    # The last two: an empty sweep and a window whose sample count overflows
     @pytest.mark.parametrize("argv, message", [
         (("pdx-verify", "--system", "line", "--x0", "nan"), "x0 must be finite"),
         (("pdx-verify", "--system", "line", "--p0", "nan"), "p0 must be finite"),
@@ -549,11 +550,15 @@ class TestResolutionAndLayout:
         (("arrival", "--sigma-p", "nan"), "sigma_p must be positive and finite"),
         (("arrival", "--p-max", "nan"), "p_max must be positive and finite"),
         (("arrival", "--x-arrival", "nan"), "x_arrival must be finite"),
+        (("histories", "--n-t", "0"), "n_t must be >= 1"),
+        (("arrival", "--half-width", "1e308", "--dt", "1e-10"),
+         "half_width*1.6^11/dt must be positive and finite"),
     ], ids=["line-x0", "line-p0", "line-sigma", "line-length", "twostate-omega",
             "histories-sigma", "histories-tol", "histories-length-nan",
             "histories-length-inf", "arrival-smear-tau",
             "arrival-p0", "arrival-x0", "arrival-sigma-p", "arrival-p-max",
-            "arrival-x-arrival"])
+            "arrival-x-arrival", "histories-n-t-zero",
+            "arrival-window-overflow"])
     def test_non_finite_inputs_rejected(self, tmp_path, argv, message):
         out = tmp_path / "x.csv"
         proc = run_cli(*argv, "--out", str(out))

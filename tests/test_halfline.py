@@ -3,7 +3,6 @@
 Oracles used here:
   * closed-form freely spreading Gaussian (complex Gaussian integral done
     by hand, frozen below as gauss_exact)
-  * closed-form momentum-space Gaussian for the transform
   * discrete dispersion 2κ(1-cos kΔx) for the tridiagonal eigenvalues
   * continuum Robin results: box levels (mπ/L)²/2, bound state e^{x/β} at
     E=-ħ²/2mβ², Neumann cosine ground profile
@@ -42,12 +41,16 @@ from zenopath.halfline import (
     production_route,
     restricted_propagate,
     spectral_evolve_line,
-    to_momentum,
-    to_position,
     wall_flux,
 )
 from zenopath import halfline
-from zenopath.halfline import _line_pdx_parts, _linear_scan, _wall_probe
+from zenopath.halfline import (
+    _intertwine_propagate,
+    _line_pdx_parts,
+    _linear_scan,
+    _propagate_half_samples,
+    _wall_probe,
+)
 from zenopath.qcore import DomainError, simpson_weights
 
 
@@ -121,8 +124,6 @@ class TestWaveFunction:
         g = SpatialGrid(-1, 1, 8)
         with pytest.raises(ValueError):
             WaveFunction(g, np.zeros(9))
-        with pytest.raises(ValueError):
-            WaveFunction(g, np.zeros(8), representation="spin")
         with pytest.raises(DomainError):
             WaveFunction(g, np.zeros(8)).normalized()
 
@@ -226,54 +227,18 @@ class TestSpectralEvolve:
         center = np.sum(g.x * np.abs(ev.samples) ** 2) * g.dx
         assert center == pytest.approx(-20.0 + 2.0 * 8.0, rel=0.01)
 
-    def test_momentum_representation_route(self):
-        g = SpatialGrid(-40, 40, 2048)
-        w = gaussian_packet(g, -3.0, 2.0, 1.5)
-        e1 = spectral_evolve_line(w, 1.7)
-        e2 = to_position(spectral_evolve_line(to_momentum(w), 1.7), g)
-        np.testing.assert_allclose(e1.samples, e2.samples, atol=1e-10)
-
     def test_rejects_non_finite_time(self):
         g = SpatialGrid(-40, 40, 256)
         w = gaussian_packet(g, 2.0, -1.0, 1.2)
-        for psi in (w, to_momentum(w)):
-            for t in (np.nan, np.inf, -np.inf):
-                with pytest.raises(ValueError, match="t must be finite"):
-                    spectral_evolve_line(psi, t)
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="t must be finite"):
+                spectral_evolve_line(w, t)
 
     def test_backward_time_inverts(self):
         g = SpatialGrid(-40, 40, 2048)
         w = gaussian_packet(g, 2.0, -1.0, 1.2)
         back = spectral_evolve_line(spectral_evolve_line(w, 3.0), -3.0)
         np.testing.assert_allclose(back.samples, w.samples, atol=1e-12)
-
-
-class TestMomentumTransform:
-    def test_unitary_and_round_trip(self):
-        g = SpatialGrid(-40, 40, 2048)
-        w = gaussian_packet(g, -3.0, 2.0, 1.5)
-        ph = to_momentum(w)
-        assert ph.norm() == pytest.approx(1.0, abs=1e-10)
-        back = to_position(ph, g)
-        np.testing.assert_allclose(back.samples, w.samples, atol=1e-12)
-
-    def test_gaussian_closed_form(self):
-        g = SpatialGrid(-40, 40, 2048)
-        w = gaussian_packet(g, -5.0, 1.5, 2.0)
-        ph = to_momentum(w)
-        p = ph.grid.x
-        exact = ((2 * 2.0 ** 2 / np.pi) ** 0.25) \
-            * np.exp(-2.0 ** 2 * (p - 1.5) ** 2 - 1j * p * (-5.0))
-        np.testing.assert_allclose(ph.samples, exact, atol=1e-9)
-
-    def test_representation_guards(self):
-        g = SpatialGrid(-40, 40, 2048)
-        w = gaussian_packet(g, 0.0, 0.0, 1.0)
-        ph = to_momentum(w)
-        with pytest.raises(ValueError):
-            to_momentum(ph)
-        with pytest.raises(ValueError):
-            to_position(w, g)
 
 
 class TestPhqNonzero:
@@ -419,21 +384,25 @@ class TestRestrictedPropagate:
             s = HalfLineSystem(L=40.0, n=512, beta=beta)
             w = half_packet(s, 10.0, -1.0, 2.0, pin_wall=(beta == 0.0))
             for t in (np.nan, np.inf, -np.inf):
-                for reverse in (False, True):
-                    with pytest.raises(ValueError,
-                                       match="t must be finite and >= 0"):
-                        restricted_propagate(w, s, t, method=method,
-                                             reverse=reverse)
+                with pytest.raises(ValueError,
+                                   match="t must be finite and >= 0"):
+                    restricted_propagate(w, s, t, method=method)
         robin = HalfLineSystem(L=40.0, n=512, beta=0.7)
         wr = half_packet(robin, 10.0, -1.0, 2.0)
         with pytest.raises(ValueError):
             image_method_propagate(wr, robin, 1.0)
 
     def test_reverse_round_trip(self):
+        # the route kernels take -t: eig at a Robin wall, and images at the
+        # hard wall, whose odd extension pins both x = 0 and x = -L
         s = HalfLineSystem(L=40.0, n=1024, beta=-0.6)
         w = half_packet(s, 8.0, -1.0, 2.0)
         fwd = restricted_propagate(w, s, 3.0)
-        back = restricted_propagate(fwd, s, 3.0, reverse=True)
+        back = _propagate_half_samples(fwd.samples, s, -3.0)
+        np.testing.assert_allclose(back, w.samples, atol=1e-12)
+        s = HalfLineSystem(L=40.0, n=1024, beta=0.0)
+        w = half_packet(s, 8.0, -1.0, 2.0, pin_wall=True)
+        back = image_method_propagate(image_method_propagate(w, s, 3.0), s, -3.0)
         np.testing.assert_allclose(back.samples, w.samples, atol=1e-12)
 
     def test_matches_images_dirichlet(self):
@@ -496,9 +465,8 @@ class TestIntertwinedRoute:
             s = HalfLineSystem(L=40.0, n=1024, beta=beta)
             w = half_packet(s, 8.0, -1.0, 2.0)
             fwd = restricted_propagate(w, s, 3.0, method="intertwine")
-            back = restricted_propagate(fwd, s, 3.0, method="intertwine",
-                                        reverse=True)
-            assert np.max(np.abs(back.samples - w.samples)) <= 1e-12, beta
+            back = _intertwine_propagate(fwd.samples, s, -3.0)
+            assert np.max(np.abs(back - w.samples)) <= 1e-12, beta
 
     def test_bound_state_overlap_keeps_its_modulus(self):
         s = HalfLineSystem(L=40.0, n=2048, beta=-1.0)
@@ -696,15 +664,13 @@ class TestLinePdx:
             line_pdx_terms(half, s, 1.0)
 
 
-def per_rung_line_split(psi, s, t, n_quad, k_cut=None):
+def per_rung_line_split(psi, s, t, n_quad):
     """One rung of the line split with its own full 2n-column phase table
     e^{-iħk²u²/2m}: (crossing, residual)."""
     n, dx = s.n, s.dx
     k = s.full_grid().k
     k_nyq = np.pi / dx
-    if k_cut is None:
-        k_cut = np.sqrt(0.4 * (4 / np.pi) * n_quad / t)
-    k_cut = min(k_cut, 0.9 * k_nyq)
+    k_cut = min(np.sqrt(0.4 * (4 / np.pi) * n_quad / t), 0.9 * k_nyq)
 
     def window(k_pass, k_stop):
         ramp = np.clip((np.abs(k) - k_pass) / (k_stop - k_pass), 0.0, 1.0)
@@ -746,25 +712,15 @@ class TestLinePdxLadder:
     def test_matches_per_rung_full_table(self, beta, ladder):
         s = HalfLineSystem(L=40.0, n=1024, beta=beta)
         psi = right_packet(s, 6.0, -1.0, 1.0)
-        self._check(psi, s, 1.5, ladder, None)
-
-    def test_explicit_k_cut_applies_to_every_rung(self):
-        s = HalfLineSystem(L=40.0, n=1024, beta=0.7)
-        psi = right_packet(s, 6.0, -1.0, 1.0)
-        parts = self._check(psi, s, 1.5, [100, 200, 400], 8.0)
-        assert [p.k_cut for p in parts] == [8.0] * 3
-
-    @staticmethod
-    def _check(psi, s, t, ladder, k_cut):
-        residuals = line_pdx_ladder(psi, s, t, ladder, k_cut=k_cut)
-        parts = _line_pdx_parts(psi, s, t, ladder, k_cut)
+        t = 1.5
+        residuals = line_pdx_ladder(psi, s, t, ladder)
+        parts = _line_pdx_parts(psi, s, t, ladder)
         assert [p.n_quad for p in parts] == ladder
         for nq, r, p in zip(ladder, residuals, parts):
-            chi, ref = per_rung_line_split(psi, s, t, nq, k_cut)
+            chi, ref = per_rung_line_split(psi, s, t, nq)
             assert abs(r - ref) <= 1e-12 * ref, (nq, r, ref)
             assert np.max(np.abs(p.crossing - chi)) \
                 <= 1e-12 * np.max(np.abs(chi)), nq
-        return parts
 
     @pytest.mark.parametrize("ladder, tables", [([100, 200, 400], 1),
                                                 ([100, 150, 400], 2)])

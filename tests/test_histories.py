@@ -63,8 +63,7 @@ def random_parity_state(rng, grid, sign, n_terms=3):
 class TestHistoryPair:
     def test_defaults(self):
         pair = HistoryPair(t=1.5, beta=0.0)
-        assert pair.label_same == "stays same side of x=0"
-        assert pair.label_cross == "crosses x=0"
+        assert (pair.t, pair.beta) == (1.5, 0.0)
 
     def test_negative_duration_rejected(self):
         for t in (-0.1, math.nan, math.inf):
@@ -116,7 +115,7 @@ class TestConsistencyVerdict:
 
     def test_sum_rule_residual(self):
         v = ConsistencyVerdict(p_same=0.6, p_cross=0.5, re_d12=-0.05,
-                               im_d12=0.0, tol=1e-3, consistent=False)
+                               im_d12=0.0, consistent=False)
         assert v.sum_rule_residual() == pytest.approx(0.0, abs=1e-15)
 
 
@@ -127,12 +126,6 @@ class TestClassAmplitudes:
         split = class_amplitudes(psi, HistoryPair(t=1.8, beta=0.7))
         gap = np.max(np.abs(split.c1.samples + split.c2.samples - psi.samples))
         assert gap <= 1e-12
-
-    def test_needs_position_representation(self):
-        from zenopath.halfline import to_momentum
-        psi = to_momentum(gaussian_packet(GRID, 3.0, 0.0, 1.0))
-        with pytest.raises(ValueError, match="position"):
-            class_amplitudes(psi, HistoryPair(t=1.0, beta=0.0))
 
     def test_needs_symmetric_grid(self):
         g = SpatialGrid(-10.0, 30.0, 1024)
@@ -209,7 +202,6 @@ class TestSumRule:
         assert dm.is_hermitian(1e-12)
         assert dm.d11 >= 0.0 and dm.d22 >= 0.0
         assert dm.total() == pytest.approx(1.0, abs=1e-12)
-        assert dm.labels == ("stay", "cross")
 
     def test_stay_probability_is_unit_at_hard_wall(self):
         # U_r ⊕ U_r is an isometry on the split state, so d(1,1) = ‖ψ‖².
@@ -289,11 +281,6 @@ class TestReflectionSafeHorizon:
     def test_edge_supported_state_has_no_horizon(self):
         psi = gaussian_packet(GRID, 37.0, 3.0, 1.0)
         assert reflection_safe_horizon(psi) == 0.0
-
-    def test_margin_shrinks_horizon(self):
-        psi = gaussian_packet(GRID, 0.0, 2.0, 1.0)
-        assert reflection_safe_horizon(psi, margin=8.0) \
-            < reflection_safe_horizon(psi, margin=2.0)
 
 
 class TestHistoryRow:
@@ -411,10 +398,3 @@ class TestRobinStateBuilder:
         psi = robin_state_builder()(NEUMANN, GRID)
         idx = (-np.arange(GRID.n)) % GRID.n
         assert np.max(np.abs(psi.samples - psi.samples[idx])) <= 1e-12
-
-    def test_degenerate_mixing_raises(self):
-        # with p₂ = 0 the second Gaussian satisfies the wall condition on its
-        # own at β = 2σ₂²/x₂, so the mixing coefficient cannot be solved there
-        builder = robin_state_builder(x2=4.0, p2=0.0, s2=1.0)
-        with pytest.raises(ValueError, match="degenerate"):
-            builder(0.5, GRID)

@@ -598,9 +598,9 @@ class TestSchedule:
             ZenoSchedule(1.0, -1)
 
 
-def test_natural_units_only():
-    """ħ = m = 1 throughout: no callable, method or dataclass field that
-    zenopath exports takes a parameter named hbar or mass."""
+def _exported_parameters() -> list[tuple[str, str]]:
+    """(where, name) for every parameter of every callable, method and
+    dataclass field that zenopath exports."""
     import dataclasses
     import inspect
 
@@ -621,4 +621,31 @@ def test_natural_units_only():
             params += [(f"{name}.{f.__name__}", p)
                        for p in inspect.signature(f).parameters]
     assert len(params) > 100
-    assert [(where, p) for where, p in params if p in ("hbar", "mass")] == []
+    return params
+
+
+def test_natural_units_only():
+    """ħ = m = 1 throughout: no callable, method or dataclass field that
+    zenopath exports takes a parameter named hbar or mass."""
+    assert [(where, p) for where, p in _exported_parameters()
+            if p in ("hbar", "mass")] == []
+
+
+def test_retired_names_stay_retired():
+    """Values every production path leaves at one setting are module
+    constants, and states have one (position) representation: no exported
+    callable, method or dataclass field takes these names.  LinePdxParts
+    reports the k_cut each rung chose; it is a result, not a setting."""
+    import zenopath
+    from zenopath import halfline
+
+    retired = {"representation", "reverse", "k_cut", "margin", "tail",
+               "max_rounds", "labels", "label_same", "label_cross",
+               "quad_points"}
+    found = [(where, p) for where, p in _exported_parameters()
+             if p in retired
+             and (where.split(".")[0], p) != ("LinePdxParts", "k_cut")]
+    assert found == []
+    for module in (zenopath, halfline):
+        assert not hasattr(module, "to_momentum")
+        assert not hasattr(module, "to_position")
