@@ -15,12 +15,17 @@ two-component interference can drive J negative while Π stays ≥ 0.
 Quadrature: midpoint sums on a uniform momentum grid whose nodes sit at
 half-integer offsets, p_j = -P + (j+½)Δp.  The p = 0 point, where the
 √|p| weight has a kink, is never sampled, and reversing the sample order
-realises the parity map p → -p exactly.  Time windows for normalization
-and moments are symmetric windows t_center + dt·k, |k| ≤ K, on one time
-lattice, widened by 1.6 per round until the captured mass changes by
-less than 1e-4; each round evaluates only the samples it adds.  A window
-still moving after 12 rounds raises ConvergenceAdvisory rather than
-returning a silently truncated distribution.
+realises the parity map p → -p exactly: the grid is built as its positive
+half and that half's mirror.  Since e^{-ip²t/2mħ} is even in p, every
+phase sum runs over the distinct values of |p|, with the weights of p and
+-p added first; on such a grid that halves the phases and the matrix
+products.  Time windows for normalization and moments are symmetric
+windows t_center + dt·k, |k| ≤ K, on one time lattice, widened by 1.6 per
+round until the captured mass changes by less than 1e-4; each round
+evaluates only the samples it adds, and every round of a window shares one
+table of step phases.  A window still moving after 12 rounds raises
+ConvergenceAdvisory rather than returning a silently truncated
+distribution.
 
 Arrival at a general point x_a enters through the translation phase
 e^{ip·x_a/ħ} applied to ψ(p) before the x = 0 formulas.
@@ -69,14 +74,16 @@ def _uniform_step(x: np.ndarray, what: str) -> float:
 def momentum_grid(p_max: float, n: int) -> np.ndarray:
     """Offset symmetric grid p_j = -p_max + (j+½)Δp, Δp = 2p_max/n.
 
-    n must be even so no node lands on p = 0.
+    n must be even so no node lands on p = 0.  The positive half is built
+    and mirrored, so p_j = -p_{n-1-j} holds bitwise for every n.
     """
     if not (math.isfinite(p_max) and p_max > 0):
         raise ValueError(f"p_max must be positive and finite, got {p_max}")
     if n < 8 or n % 2:
         raise ValueError(f"n must be even and >= 8, got {n}")
     dp = 2.0 * p_max / n
-    return -p_max + (np.arange(n) + 0.5) * dp
+    upper = -p_max + (np.arange(n // 2, n) + 0.5) * dp
+    return np.concatenate([-upper[::-1], upper])
 
 
 @dataclass(frozen=True)
@@ -207,25 +214,65 @@ class ArrivalDistribution:
         return float(self.t[int(np.argmax(self.density))])
 
 
+def _unit_phase(phase: np.ndarray) -> np.ndarray:
+    """e^{iφ} of a real phase array, as cos φ + i·sin φ."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+@dataclass(frozen=True)
+class _PhaseTable:
+    """The weight columns summed onto the distinct |p|, their energies, and
+    the step phases e^{-iE·dt·s}, s < B, of one time lattice."""
+
+    energy: np.ndarray
+    weights: np.ndarray
+    dt: float
+    step: np.ndarray
+
+
+def _phase_table(state: MomentumState, weights: np.ndarray, dt: float,
+                 b: int) -> _PhaseTable:
+    """Fold W onto the distinct values of |p|, which e^{-ip²t/2mħ} cannot
+    tell apart, and tabulate B = b step phases over them.  The fold keys on
+    exact equality, so a grid without mirror pairs folds nothing."""
+    mod_p, pair = np.unique(np.abs(state.p), return_inverse=True)
+    folded = np.zeros((mod_p.size, weights.shape[1]), dtype=complex)
+    np.add.at(folded, pair, weights)
+    e = mod_p ** 2 / 2.0
+    return _PhaseTable(e, folded, dt,
+                       _unit_phase(np.outer(-dt * np.arange(b), e)))
+
+
+def _phase_rows(table: _PhaseTable, t0: float, k0: int, n: int) -> np.ndarray:
+    """Rows k = k0 .. k0+n-1 of Σ W(p)e^{-iE(p)t_k}, t_k = t0 + dt·k, on a
+    table's lattice: blocks of B rows, each the table's step phases times
+    the exact base phase e^{-iE·t_b} at the block's first row."""
+    b = table.step.shape[0]
+    out = np.empty((n, table.weights.shape[1]), dtype=complex)
+    for i in range(0, n, b):
+        base = _unit_phase(-(t0 + table.dt * (k0 + i)) * table.energy)
+        out[i:i + b] = table.step[:n - i] @ (base[:, None] * table.weights)
+    return out
+
+
 def _phase_apply(state: MomentumState, weights: np.ndarray, t0: float,
                  dt: float, k0: int, n: int) -> np.ndarray:
     """Rows k = k0 .. k0+n-1 of Σ_p W(p)e^{-iE(p)t_k}, t_k = t0 + dt·k,
     E = p²/2mħ, for every weight column of W at once.
 
-    The phase table of each block of B ≈ √n rows is the product of two
-    exactly evaluated exponentials, e^{-iE·t_b} at the block's first row and
-    e^{-iE·dt·s} for s < B.  That takes ~2√n exponentials per momentum node
-    instead of n, and, unlike a running recurrence, accumulates no rounding
-    from block to block.
+    The sums run over the distinct values of |p|: E is even in p, so the
+    weights of p and -p are added first, which halves the phases and the
+    matrix product on a grid from `momentum_grid`.  The phase table of each
+    block of B ≈ √n rows is the product of two exactly evaluated phases,
+    e^{-iE·t_b} at the block's first row and e^{-iE·dt·s} for s < B.  That
+    takes ~2√n phases per distinct |p| instead of n, and, unlike a running
+    recurrence, accumulates no rounding from block to block.
     """
-    e = state.p ** 2 / 2.0
     b = max(1, math.ceil(math.sqrt(n)))
-    step = np.exp(-1j * np.outer(dt * np.arange(b), e))
-    out = np.empty((n, weights.shape[1]), dtype=complex)
-    for i in range(0, n, b):
-        base = np.exp(-1j * (t0 + dt * (k0 + i)) * e)
-        out[i:i + b] = step[:n - i] @ (base[:, None] * weights)
-    return out
+    return _phase_rows(_phase_table(state, weights, dt, b), t0, k0, n)
 
 
 def _time_grid(t: np.ndarray) -> tuple[float, float]:
@@ -340,15 +387,16 @@ def _converged_window(state: MomentumState, t_center: float | None = None,
         t_center = (x_arrival - state.mean_position()) / pbar
     elif not math.isfinite(t_center):
         raise ValueError(f"t_center must be finite, got {t_center}")
-    weights = _weights(state, x_arrival)
+    # one step table for the window, B = ⌈√K⌉ of the first round
+    table = _phase_table(state, _weights(state, x_arrival), dt,
+                         math.ceil(math.sqrt(ks[0])))
     k = 0
-    amp = _phase_apply(state, weights, t_center, dt, 0, 1)
+    amp = _phase_rows(table, t_center, 0, 1)
     prev = None
     for k_new in ks:
         grown = k_new - k
-        amp = np.concatenate([
-            _phase_apply(state, weights, t_center, dt, -k_new, grown), amp,
-            _phase_apply(state, weights, t_center, dt, k + 1, grown)])
+        amp = np.concatenate([_phase_rows(table, t_center, -k_new, grown),
+                              amp, _phase_rows(table, t_center, k + 1, grown)])
         k = k_new
         t = t_center + dt * np.arange(-k, k + 1)
         try:
@@ -390,8 +438,11 @@ def smeared_density(dist: ArrivalDistribution, tau: float) -> ArrivalDistributio
     u = dt * np.arange(-half, half + 1)
     kernel = np.exp(-u ** 2 / (2 * tau ** 2))
     kernel /= kernel.sum()
-    right = np.convolve(dist.right_part, kernel, mode="same")
-    left = np.convolve(dist.left_part, kernel, mode="same")
+    # the centred window of the full convolution: mode="same" would return
+    # the kernel's length whenever the kernel is longer than the window
+    n = dist.t.size
+    right = np.convolve(dist.right_part, kernel)[half:half + n]
+    left = np.convolve(dist.left_part, kernel)[half:half + n]
     return ArrivalDistribution(t=dist.t, density=right + left,
                                right_part=right, left_part=left,
                                x_arrival=dist.x_arrival, smear_tau=tau)

@@ -242,6 +242,8 @@ class ResultTable:
 
     @staticmethod
     def _cell_csv(v) -> str:
+        if type(v) is float:
+            return "%.11e" % v
         if isinstance(v, bool):
             return "1" if v else "0"
         if isinstance(v, (int, np.integer)):
@@ -466,8 +468,7 @@ def cmd_arrival(cfg: RunConfig) -> ResultTable:
     if p["smear_tau"] > 0:
         cols.append("density_smeared")
         series.append(smeared_density(dist, p["smear_tau"]).density)
-    rows = tuple(tuple(float(s[i]) for s in series)
-                 for i in range(dist.t.size))
+    rows = tuple(map(tuple, np.column_stack(series).tolist()))
 
     meta = cfg.metadata()
     meta["captured_mass"] = "%.11e" % dist.captured_mass()

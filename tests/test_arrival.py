@@ -36,7 +36,8 @@ from zenopath.arrival import (
     superposition_state,
 )
 from zenopath import arrival
-from zenopath.arrival import _converged_window, _phase_apply, _weights
+from zenopath.arrival import (_converged_window, _phase_apply,
+                              _phase_rows, _phase_table, _weights)
 from zenopath.qcore import DomainError
 
 P_GRID = momentum_grid(8.0, 1024)
@@ -58,6 +59,13 @@ class TestMomentumGrid:
         p = momentum_grid(5.0, 100)
         assert np.allclose(np.diff(p), 0.1)
         assert p[0] == pytest.approx(-5.0 + 0.05)
+
+    @pytest.mark.parametrize("n", [8, 100, 1000, 3000, 8192])
+    def test_mirror_pairs_are_bitwise(self, n):
+        # p_max = 7.3 is no dyadic fraction, so -p_max + (j+½)Δp alone
+        # would miss the mirror of some nodes by an ulp
+        p = momentum_grid(7.3, n)
+        assert np.array_equal(p, -p[::-1])
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="even"):
@@ -401,6 +409,14 @@ class TestSmearedDensity:
         assert np.min(sm.density) >= -1e-12
         assert sm.smear_tau == 0.5
 
+    def test_kernel_longer_than_window(self):
+        # 2·⌈6τ/dt⌉+1 = 1801 kernel samples against a 1281-sample window
+        dist = converged_density(arrival_packet())
+        sm = smeared_density(dist, 3.0)
+        assert sm.t.size == dist.t.size == 1281
+        assert np.array_equal(sm.t, dist.t)
+        assert np.min(sm.density) >= -1e-12
+
     def test_width_validation(self):
         dist = converged_density(arrival_packet())
         for tau in (0.0, np.nan, np.inf):
@@ -433,23 +449,47 @@ class TestPhaseKernel:
         gap = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
         assert np.max(gap) <= 1e-13
 
+    @pytest.mark.parametrize("p, folded", [
+        (momentum_grid(4.0, 64) + 0.3, 64),   # no mirror pairs: nothing folds
+        (momentum_grid(4.0, 64) + 0.5, 36),   # 28 pairs with |p| ≤ 3.4375
+        (momentum_grid(7.3, 1000), 500),
+    ], ids=["unpaired", "shifted", "mirrored"])
+    def test_fold_matches_direct_exponentials(self, p, folded):
+        st = gaussian_momentum_state(p, p0=1.5, x0=-4.0, sigma_p=0.6)
+        w = _weights(st, 0.7)
+        k0, n, t0, dt = -300, 601, 4.0, 0.02
+        table = _phase_table(st, w, dt, 25)
+        assert table.energy.size == folded
+        got = _phase_rows(table, t0, k0, n)
+        t = t0 + dt * np.arange(k0, k0 + n)
+        ref = np.exp(-1j * np.outer(t, st.p ** 2 / 2)) @ w
+        gap = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
+        assert np.max(gap) <= 1e-13
+
     def slow_window(self, monkeypatch):
-        """The slow-tail packet's window, with every kernel call recorded."""
-        calls = []
+        """The slow-tail packet's window, with every step table and every
+        kernel call recorded."""
+        tables, calls = [], []
 
-        def counted(state, weights, t0, dt, k0, n):
-            calls.append((t0, dt, k0, n))
-            return _phase_apply(state, weights, t0, dt, k0, n)
+        def counted_table(state, weights, dt, b):
+            tables.append((dt, b))
+            return _phase_table(state, weights, dt, b)
 
-        monkeypatch.setattr(arrival, "_phase_apply", counted)
+        def counted(table, t0, k0, n):
+            calls.append((t0, table.dt, k0, n))
+            return _phase_rows(table, t0, k0, n)
+
+        monkeypatch.setattr(arrival, "_phase_table", counted_table)
+        monkeypatch.setattr(arrival, "_phase_rows", counted)
         st = gaussian_momentum_state(momentum_grid(8.0, 1024), p0=1.0,
                                      x0=-10.0, sigma_p=0.2)
         dist, current = _converged_window(st)
         monkeypatch.undo()
-        return st, dist, current, calls
+        return st, dist, current, tables, calls
 
     def test_widening_evaluates_each_sample_once(self, monkeypatch):
-        _, dist, _, calls = self.slow_window(monkeypatch)
+        _, dist, _, tables, calls = self.slow_window(monkeypatch)
+        assert len(tables) == 1
         assert len({(t0, dt) for t0, dt, _, _ in calls}) == 1
         ks = np.sort(np.concatenate([k0 + np.arange(n)
                                      for _, _, k0, n in calls]))
@@ -458,7 +498,7 @@ class TestPhaseKernel:
         assert np.array_equal(ks, np.arange(-k_max, k_max + 1))
 
     def test_window_matches_fresh_evaluation(self, monkeypatch):
-        st, dist, current, _ = self.slow_window(monkeypatch)
+        st, dist, current, _, _ = self.slow_window(monkeypatch)
         fresh = kijowski_density(st, dist.t)
         for name in ("density", "right_part", "left_part"):
             a, b = getattr(dist, name), getattr(fresh, name)

@@ -174,6 +174,23 @@ class TestResultTable:
             "n,flag,x\n"
             "2,1,5.00000000000e-01\n")
 
+    @pytest.mark.parametrize("value, text", [
+        (0.1, "1.00000000000e-01"),
+        (np.float64(-2.5), "-2.50000000000e+00"),
+        (-0.0, "-0.00000000000e+00"),
+        (1e-300, "1.00000000000e-300"),
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        (True, "1"),
+        (False, "0"),
+        (7, "7"),
+        (np.int64(-3), "-3"),
+        ("odd", "odd"),
+    ], ids=["float", "float64", "neg-zero", "tiny", "nan", "inf", "true",
+            "false", "int", "int64", "str"])
+    def test_csv_cell(self, value, text):
+        assert ResultTable._cell_csv(value) == text
+
     def test_json_mirrors_rows(self):
         table = ResultTable(("n", "flag", "x"), ((2, False, 0.5),),
                             dict(self.META))
@@ -432,6 +449,15 @@ class TestArrivalCommand:
         dt = float(rows[1][0]) - float(rows[0][0])
         assert abs(np.trapezoid(smear, dx=dt)
                    - np.trapezoid(dens, dx=dt)) <= 1e-3
+
+    def test_smear_wider_than_window(self, tmp_path, arrival_run):
+        # the τ = 3 kernel spans 1801 samples, the default window 1281
+        out = tmp_path / "wide.csv"
+        proc = run_cli("arrival", "--smear-tau", "3", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        _, columns, rows = read_table(out)
+        assert len(rows) == len(arrival_run[2])
+        assert min(column(columns, rows, "density_smeared")) >= 0.0
 
     def test_explicit_center(self, tmp_path):
         out = tmp_path / "center.csv"
