@@ -242,14 +242,12 @@ class ResultTable:
 
     @staticmethod
     def _cell_csv(v) -> str:
-        if type(v) is float:
-            return "%.11e" % v
+        if isinstance(v, (float, np.floating)):
+            return "%.11e" % float(v)
         if isinstance(v, bool):
             return "1" if v else "0"
         if isinstance(v, (int, np.integer)):
             return str(int(v))
-        if isinstance(v, (float, np.floating)):
-            return "%.11e" % float(v)
         return str(v)
 
     @staticmethod
