@@ -23,7 +23,9 @@ products.  Time windows for normalization and moments are symmetric
 windows t_center + dt·k, |k| ≤ K, on one time lattice, widened by 1.6 per
 round until the captured mass changes by less than 1e-4; each round
 evaluates only the samples it adds, and every round of a window shares one
-table of step phases.  A window still moving after 12 rounds raises
+table of step phases.  The samples an edge adds come from one stacked
+product over all their blocks, chunked under a fixed number of entries so
+memory stays bounded.  A window still moving after 12 rounds raises
 ConvergenceAdvisory rather than returning a silently truncated
 distribution.
 
@@ -47,6 +49,7 @@ _MASS_EXCESS = 1e-6       # allowed quadrature overshoot of the unit mass
 _GROWTH = 1.6             # factor by which each round widens the window
 _MAX_ROUNDS = 12          # widening rounds before the advisory
 _MASS_TOL = 1e-4          # captured-mass change between rounds that converges
+_STACK_ENTRIES = 1 << 16  # complex entries of one stacked phase product
 
 
 class ConvergenceAdvisory(RuntimeError):
@@ -249,13 +252,24 @@ def _phase_table(state: MomentumState, weights: np.ndarray, dt: float,
 def _phase_rows(table: _PhaseTable, t0: float, k0: int, n: int) -> np.ndarray:
     """Rows k = k0 .. k0+n-1 of Σ W(p)e^{-iE(p)t_k}, t_k = t0 + dt·k, on a
     table's lattice: blocks of B rows, each the table's step phases times
-    the exact base phase e^{-iE·t_b} at the block's first row."""
-    b = table.step.shape[0]
-    out = np.empty((n, table.weights.shape[1]), dtype=complex)
-    for i in range(0, n, b):
-        base = _unit_phase(-(t0 + table.dt * (k0 + i)) * table.energy)
-        out[i:i + b] = table.step[:n - i] @ (base[:, None] * table.weights)
-    return out
+    the exact base phase e^{-iE·t_b} at the block's first row.
+
+    All blocks of a call are evaluated together: their base phases as one
+    (blocks × |p|) table and their rows as one stacked product
+    step @ (base ⊗ W).  The stack holds one block or at most
+    _STACK_ENTRIES complex entries (blocks × |p| × columns), whichever is
+    more; longer calls run in chunks of blocks under that cap, so memory
+    stays bounded on any window."""
+    b, m = table.step.shape
+    cols = table.weights.shape[1]
+    starts = t0 + table.dt * (k0 + np.arange(0, n, b))
+    out = np.empty((starts.size, b, cols), dtype=complex)
+    chunk = max(1, _STACK_ENTRIES // (m * cols))
+    for i in range(0, starts.size, chunk):
+        base = _unit_phase(np.outer(-starts[i:i + chunk], table.energy))
+        np.matmul(table.step, base[:, :, None] * table.weights,
+                  out=out[i:i + chunk])
+    return out.reshape(-1, cols)[:n]
 
 
 def _phase_apply(state: MomentumState, weights: np.ndarray, t0: float,
@@ -387,6 +401,16 @@ def _converged_window(state: MomentumState, t_center: float | None = None,
         t_center = (x_arrival - state.mean_position()) / pbar
     elif not math.isfinite(t_center):
         raise ValueError(f"t_center must be finite, got {t_center}")
+    # the widest round's lattice must pass the uniform-grid rule; it is
+    # checked on 64 samples at each end, where |t| and its rounding peak
+    k, n = ks[-1], min(64, 2 * ks[-1] + 1)
+    try:
+        for k0 in (-k, k + 1 - n):
+            _uniform_step(t_center + dt * np.arange(k0, k0 + n), "time grid")
+    except ValueError:
+        raise ValueError(f"the widest window t_center ± dt·{k} "
+                         f"(t_center = {t_center:g}, dt = {dt:g}) is not a "
+                         "uniform time grid in floating point") from None
     # one step table for the window, B = ⌈√K⌉ of the first round
     table = _phase_table(state, _weights(state, x_arrival), dt,
                          math.ceil(math.sqrt(ks[0])))

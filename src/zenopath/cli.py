@@ -224,6 +224,16 @@ class RunConfig:
         return meta
 
 
+def _csv_spec(kind: type) -> str:
+    """The CSV format of one cell type: floats as %.11e, bools and
+    integers as %d, anything else as its str."""
+    if issubclass(kind, (float, np.floating)):
+        return "%.11e"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%s"
+
+
 @dataclass(frozen=True)
 class ResultTable:
     """Columns, typed rows, and the metadata block they were produced with."""
@@ -235,20 +245,12 @@ class ResultTable:
     def __post_init__(self):
         if not self.metadata.get("version") or not self.metadata.get("command"):
             raise ValueError("metadata must carry version and command")
+        # tuples, so a row is always the argument tuple of its % format
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError(f"row width {len(row)} != "
                                  f"{len(self.columns)} columns")
-
-    @staticmethod
-    def _cell_csv(v) -> str:
-        if isinstance(v, (float, np.floating)):
-            return "%.11e" % float(v)
-        if isinstance(v, bool):
-            return "1" if v else "0"
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        return str(v)
 
     @staticmethod
     def _cell_json(v):
@@ -264,8 +266,13 @@ class ResultTable:
         if fmt == "csv":
             lines = [f"# {k}={v}" for k, v in self.metadata.items()]
             lines.append(",".join(self.columns))
-            lines.extend(",".join(self._cell_csv(v) for v in row)
-                         for row in self.rows)
+            formats: dict[tuple[type, ...], str] = {}
+            for row in self.rows:
+                kinds = tuple(map(type, row))
+                row_fmt = formats.get(kinds)
+                if row_fmt is None:
+                    row_fmt = formats[kinds] = ",".join(map(_csv_spec, kinds))
+                lines.append(row_fmt % row)
             return "\n".join(lines) + "\n"
         if fmt == "json":
             doc = {
@@ -330,7 +337,7 @@ def cmd_twostate(cfg: RunConfig) -> ResultTable:
 
     cols = ("name", "value_re", "value_im", "closed_re", "closed_im",
             "abs_err")
-    return ResultTable(columns=cols, rows=tuple(rows),
+    return ResultTable(columns=cols, rows=rows,
                        metadata=cfg.metadata())
 
 
@@ -354,7 +361,7 @@ def cmd_zeno_converge(cfg: RunConfig) -> ResultTable:
     rows = [one(n) for n in p["n_list"]]
     cols = ("n", "survival", "survival_closed", "closed_gap", "deviation",
             "deviation_scaled")
-    return ResultTable(columns=cols, rows=tuple(rows),
+    return ResultTable(columns=cols, rows=rows,
                        metadata=cfg.metadata())
 
 
@@ -405,7 +412,7 @@ def cmd_pdx_verify(cfg: RunConfig) -> ResultTable:
     meta["fitted_order"] = "%.6f" % _fit_order(ladder, values)
     meta["monotone"] = str(int(all(r[3] for r in rows)))
     cols = ("level", "points", "residual", "decreased")
-    return ResultTable(columns=cols, rows=tuple(rows), metadata=meta)
+    return ResultTable(columns=cols, rows=rows, metadata=meta)
 
 
 def cmd_histories(cfg: RunConfig) -> ResultTable:
@@ -413,6 +420,9 @@ def cmd_histories(cfg: RunConfig) -> ResultTable:
     p = cfg.params
     if not (math.isfinite(p["length"]) and p["length"] > 0):
         raise ValueError(f"length must be positive and finite, got {p['length']}")
+    # two mirrored half-lines of n_grid/2 nodes, each needing at least 8
+    if p["n_grid"] < 16 or p["n_grid"] % 2:
+        raise ValueError(f"n_grid must be even and >= 16, got {p['n_grid']}")
     grid = SpatialGrid(-p["length"], p["length"], p["n_grid"])
     parity = None if p["parity"] == "none" else p["parity"]
     psi = gaussian_packet(grid, p["x0"], p["p0"], p["sigma"], parity=parity)
@@ -440,7 +450,7 @@ def cmd_histories(cfg: RunConfig) -> ResultTable:
     rows = [one(t) for t in t_values]
     cols = ("t", "p_same", "p_cross", "re_d12", "im_d12", "consistent",
             "r_plus", "r_minus", "directsum_distance", "grid_warning")
-    return ResultTable(columns=cols, rows=tuple(rows),
+    return ResultTable(columns=cols, rows=rows,
                        metadata=cfg.metadata())
 
 
@@ -466,7 +476,7 @@ def cmd_arrival(cfg: RunConfig) -> ResultTable:
     if p["smear_tau"] > 0:
         cols.append("density_smeared")
         series.append(smeared_density(dist, p["smear_tau"]).density)
-    rows = tuple(map(tuple, np.column_stack(series).tolist()))
+    rows = np.column_stack(series).tolist()
 
     meta = cfg.metadata()
     meta["captured_mass"] = "%.11e" % dist.captured_mass()

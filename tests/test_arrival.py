@@ -371,6 +371,9 @@ class TestConvergedDensity:
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"t_center": math.nan}, "t_center"), ({"t_center": math.inf}, "t_center"),
+        # ulp(2e5) ≈ 2.9e-11 is past the 1e-9·dt = 2e-11 step tolerance
+        ({"t_center": 2e5}, r"t_center = 200000, dt = 0\.02"),
+        ({"t_center": -1e17, "dt": 0.5}, r"t_center = -1e\+17, dt = 0\.5"),
     ])
     def test_bad_widening_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -465,6 +468,32 @@ class TestPhaseKernel:
         ref = np.exp(-1j * np.outer(t, st.p ** 2 / 2)) @ w
         gap = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
         assert np.max(gap) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 24, 25, 26, 80])
+    @pytest.mark.parametrize("k0", [-40, 7])
+    def test_block_edges_match_direct_exponentials(self, n, k0):
+        # n = 1, B - 1, B, B + 1 and 3B + 5 rows for B = 25, about the
+        # packet's arrival at t = 5
+        st = arrival_packet()
+        w = _weights(st, 0.0)
+        t0, dt = 5.0, 0.02
+        table = _phase_table(st, w, dt, 25)
+        got = _phase_rows(table, t0, k0, n)
+        t = t0 + dt * np.arange(k0, k0 + n)
+        ref = np.exp(-1j * np.outer(t, st.p ** 2 / 2)) @ w
+        assert got.shape == (n, 4)
+        gap = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
+        assert np.max(gap) <= 1e-13
+
+    @pytest.mark.parametrize("cap", [1, 3 * 512 * 4])
+    def test_chunking_leaves_rows_unchanged(self, monkeypatch, cap):
+        # one block per chunk, and three: both against a single chunk
+        st = arrival_packet()
+        table = _phase_table(st, _weights(st, 0.0), 0.02, 16)
+        monkeypatch.setattr(arrival, "_STACK_ENTRIES", 1 << 40)
+        whole = _phase_rows(table, 5.0, -1000, 2001)
+        monkeypatch.setattr(arrival, "_STACK_ENTRIES", cap)
+        assert np.array_equal(_phase_rows(table, 5.0, -1000, 2001), whole)
 
     def slow_window(self, monkeypatch):
         """The slow-tail packet's window, with every step table and every

@@ -57,6 +57,21 @@ def read_table(path):
     return meta, columns, rows
 
 
+def csv_oracle(table):
+    """CSV text of a ResultTable, formatted one cell at a time."""
+    def cell(v):
+        if isinstance(v, (float, np.floating)):
+            return "%.11e" % float(v)
+        if isinstance(v, (bool, int, np.integer)):
+            return str(int(v))
+        return str(v)
+
+    lines = [f"# {k}={v}" for k, v in table.metadata.items()]
+    lines.append(",".join(table.columns))
+    lines.extend(",".join(map(cell, row)) for row in table.rows)
+    return "\n".join(lines) + "\n"
+
+
 def column(columns, rows, name, cast=float):
     k = columns.index(name)
     return [cast(r[k]) for r in rows]
@@ -189,7 +204,38 @@ class TestResultTable:
     ], ids=["float", "float64", "neg-zero", "tiny", "nan", "inf", "true",
             "false", "int", "int64", "str"])
     def test_csv_cell(self, value, text):
-        assert ResultTable._cell_csv(value) == text
+        table = ResultTable(("v",), ((value,),), dict(self.META))
+        assert table.render("csv").splitlines()[-1] == text
+
+    def test_mixed_cells_match_per_cell_oracle(self):
+        # column c changes type between rows; b holds numpy scalar types
+        rows = (
+            ("50% off", np.bool_(True), 1, np.float32(0.1)),
+            ("%d%s", np.bool_(False), 2.5, -0.0),
+            ("plain", True, "x%", math.nan),
+            ("", False, np.int8(-4), np.float64(3.0)),
+        )
+        table = ResultTable(("a", "b", "c", "d"), rows, dict(self.META))
+        assert table.render("csv") == csv_oracle(table)
+        assert table.render("csv").splitlines()[3:] == [
+            "50% off,True,1,1.00000001490e-01",
+            "%d%s,False,2.50000000000e+00,-0.00000000000e+00",
+            "plain,1,x%,nan",
+            ",0,-4,3.00000000000e+00"]
+
+    def test_list_rows_become_tuples(self):
+        table = ResultTable(("n", "x"), [[3, 0.5]], dict(self.META))
+        assert table.rows == ((3, 0.5),)
+        assert table.render("csv").endswith("\n3,5.00000000000e-01\n")
+
+    @pytest.mark.parametrize("args", [(cmd,) for cmd in SCHEMAS]
+                             + [("pdx-verify", "--system", "line")])
+    def test_default_tables_match_per_cell_oracle(self, args):
+        from zenopath import cli
+
+        cfg = cli.resolve_config(cli.build_parser().parse_args(args))
+        table = cli.DISPATCH[cfg.command](cfg)
+        assert table.render("csv") == csv_oracle(table)
 
     def test_json_mirrors_rows(self):
         table = ResultTable(("n", "flag", "x"), ((2, False, 0.5),),
@@ -408,6 +454,19 @@ class TestHistoriesCommand:
         assert "t must be" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_grid", ["8", "12", "15", "17"])
+    def test_grid_size_named(self, tmp_path, capsys, n_grid):
+        # 8..15 used to fail on the half-line size n_grid/2, odd sizes on
+        # grid symmetry; neither message named n_grid
+        from zenopath import cli
+
+        out = tmp_path / "x.csv"
+        assert cli.main(["histories", "--n-grid", n_grid,
+                         "--out", str(out)]) == 3
+        assert (f"n_grid must be even and >= 16, got {n_grid}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_sweep_past_the_horizon_refused(self, tmp_path):
         # the default packet's reflection-safe horizon is 6.42
         out = tmp_path / "x.csv"
@@ -465,6 +524,23 @@ class TestArrivalCommand:
         assert proc.returncode == 0, proc.stderr
         t = column(*read_table(out)[1:3], "t")
         assert t[0] <= 5.0 <= t[-1]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-center", "1e17"), ("--x-arrival", "1e18")])
+    def test_far_window_refused_before_any_phase_sum(self, tmp_path, capsys,
+                                                     monkeypatch, flag, value):
+        from zenopath import arrival, cli
+
+        calls = []
+        rows = arrival._phase_rows
+        monkeypatch.setattr(arrival, "_phase_rows",
+                            lambda *a: calls.append(1) or rows(*a))
+        out = tmp_path / "x.csv"
+        assert cli.main(["arrival", flag, value, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "t_center" in err and "dt = 0.02" in err
+        assert "uniform time grid" in err
+        assert calls == [] and not out.exists()
 
     def test_slow_tail_becomes_advisory(self, tmp_path):
         proc = run_cli("arrival", "--p0", "1.0", "--x0", "-20",
