@@ -255,21 +255,26 @@ def _phase_rows(table: _PhaseTable, t0: float, k0: int, n: int) -> np.ndarray:
     the exact base phase e^{-iE·t_b} at the block's first row.
 
     All blocks of a call are evaluated together: their base phases as one
-    (blocks × |p|) table and their rows as one stacked product
-    step @ (base ⊗ W).  The stack holds one block or at most
-    _STACK_ENTRIES complex entries (blocks × |p| × columns), whichever is
-    more; longer calls run in chunks of blocks under that cap, so memory
-    stays bounded on any window."""
+    (blocks × |p|) table and their full blocks as one stacked product
+    step @ (base ⊗ W); a last partial block of r < B rows takes the first r
+    step phases only.  The stack holds one block or at most _STACK_ENTRIES
+    complex entries (blocks × |p| × columns), whichever is more; longer
+    calls run in chunks of blocks under that cap, so memory stays bounded
+    on any window."""
     b, m = table.step.shape
     cols = table.weights.shape[1]
+    full, rest = divmod(n, b)
     starts = t0 + table.dt * (k0 + np.arange(0, n, b))
-    out = np.empty((starts.size, b, cols), dtype=complex)
+    out = np.empty((n, cols), dtype=complex)
+    blocks = out[:full * b].reshape(full, b, cols)
     chunk = max(1, _STACK_ENTRIES // (m * cols))
     for i in range(0, starts.size, chunk):
         base = _unit_phase(np.outer(-starts[i:i + chunk], table.energy))
-        np.matmul(table.step, base[:, :, None] * table.weights,
-                  out=out[i:i + chunk])
-    return out.reshape(-1, cols)[:n]
+        base = base[:, :, None] * table.weights
+        np.matmul(table.step, base[:full - i], out=blocks[i:i + chunk])
+    if rest:
+        out[full * b:] = table.step[:rest] @ base[-1]
+    return out
 
 
 def _phase_apply(state: MomentumState, weights: np.ndarray, t0: float,
@@ -401,28 +406,26 @@ def _converged_window(state: MomentumState, t_center: float | None = None,
         t_center = (x_arrival - state.mean_position()) / pbar
     elif not math.isfinite(t_center):
         raise ValueError(f"t_center must be finite, got {t_center}")
-    # the widest round's lattice must pass the uniform-grid rule; it is
-    # checked on 64 samples at each end, where |t| and its rounding peak
-    k, n = ks[-1], min(64, 2 * ks[-1] + 1)
-    try:
-        for k0 in (-k, k + 1 - n):
-            _uniform_step(t_center + dt * np.arange(k0, k0 + n), "time grid")
-    except ValueError:
-        raise ValueError(f"the widest window t_center ± dt·{k} "
-                         f"(t_center = {t_center:g}, dt = {dt:g}) is not a "
-                         "uniform time grid in floating point") from None
     # one step table for the window, B = ⌈√K⌉ of the first round
     table = _phase_table(state, _weights(state, x_arrival), dt,
                          math.ceil(math.sqrt(ks[0])))
-    k = 0
-    amp = _phase_rows(table, t_center, 0, 1)
-    prev = None
+    k, amp, prev = 0, None, None
     for k_new in ks:
+        # each round's lattice must pass the uniform-grid rule before any
+        # of its phase sums
+        t = t_center + dt * np.arange(-k_new, k_new + 1)
+        try:
+            _uniform_step(t, "time grid")
+        except ValueError:
+            raise ValueError(f"the window t_center ± dt·{k_new} "
+                             f"(t_center = {t_center:g}, dt = {dt:g}) is not "
+                             "a uniform time grid in floating point") from None
+        if amp is None:
+            amp = _phase_rows(table, t_center, 0, 1)
         grown = k_new - k
         amp = np.concatenate([_phase_rows(table, t_center, -k_new, grown),
                               amp, _phase_rows(table, t_center, k + 1, grown)])
         k = k_new
-        t = t_center + dt * np.arange(-k, k + 1)
         try:
             dist = _distribution(t, amp[:, :2], x_arrival)
         except CapturedMassExcess as exc:

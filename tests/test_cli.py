@@ -542,6 +542,16 @@ class TestArrivalCommand:
         assert "uniform time grid" in err
         assert calls == [] and not out.exists()
 
+    def test_fine_step_converges_before_its_widest_window(self, tmp_path):
+        # dt = 1e-4: the window converges by |t| ≈ 20, while the twelfth
+        # round's lattice, out to |t| ≈ 880, would not be uniform at this dt
+        from zenopath import cli
+
+        out = tmp_path / "fine.csv"
+        assert cli.main(["arrival", "--dt", "1e-4", "--out", str(out)]) == 0
+        t = column(*read_table(out)[1:3], "t")
+        assert max(abs(t[0]), abs(t[-1])) < 100
+
     def test_slow_tail_becomes_advisory(self, tmp_path):
         proc = run_cli("arrival", "--p0", "1.0", "--x0", "-20",
                        "--sigma-p", "0.35", "--p-max", "10",
