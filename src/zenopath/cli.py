@@ -55,7 +55,7 @@ from .halfline import (
     gaussian_packet,
     line_pdx_ladder,
 )
-from .histories import HistoryPair, history_row, reflection_safe_horizon
+from .histories import history_sweep, reflection_safe_horizon
 from .qcore import (
     DecoherenceMatrix,
     DomainError,
@@ -394,6 +394,8 @@ def cmd_pdx_verify(cfg: RunConfig) -> ResultTable:
 
         values = [resid(nq) for nq in ladder]
     else:
+        if p["n_grid"] < 8:
+            raise ValueError(f"n_grid must be >= 8, got {p['n_grid']}")
         system = HalfLineSystem(L=p["length"], n=p["n_grid"], beta=p["beta"])
         g = system.full_grid()
         packet = GaussianPacket(p["x0"], p["p0"], p["sigma"])
@@ -440,14 +442,12 @@ def cmd_histories(cfg: RunConfig) -> ResultTable:
                          "wrap-around")
     t_values = np.linspace(p["t_min"], p["t_max"], p["n_t"])
 
-    def one(t: float):
-        row = history_row(psi, HistoryPair(t=float(t), beta=beta), p["tol"])
+    rows = []
+    for row in history_sweep(psi, beta, t_values, p["tol"]):
         v = row.verdict
-        return (row.t, v.p_same, v.p_cross, v.re_d12, v.im_d12,
-                v.consistent, float(row.r_plus), float(row.r_minus),
-                row.directsum_distance, row.grid_warning)
-
-    rows = [one(t) for t in t_values]
+        rows.append((row.t, v.p_same, v.p_cross, v.re_d12, v.im_d12,
+                     v.consistent, float(row.r_plus), float(row.r_minus),
+                     row.directsum_distance, row.grid_warning))
     cols = ("t", "p_same", "p_cross", "re_d12", "im_d12", "consistent",
             "r_plus", "r_minus", "directsum_distance", "grid_warning")
     return ResultTable(columns=cols, rows=rows,
@@ -464,6 +464,8 @@ def cmd_arrival(cfg: RunConfig) -> ResultTable:
     if not (math.isfinite(p["smear_tau"]) and p["smear_tau"] >= 0):
         raise ValueError("smear_tau must be finite and >= 0 (0 disables "
                          f"the smeared column), got {p['smear_tau']}")
+    if p["n_p"] < 8 or p["n_p"] % 2:
+        raise ValueError(f"n_p must be even and >= 8, got {p['n_p']}")
     grid = momentum_grid(p["p_max"], p["n_p"])
     state = gaussian_momentum_state(grid, p0=p["p0"], x0=p["x0"],
                                     sigma_p=p["sigma_p"])

@@ -25,6 +25,13 @@ restriction is the strict complement, and the left evolution reads its
 boundary value at x = 0 from the (continuous) state rather than
 extrapolating.
 
+Both half lines evolve by images on the symmetric full grid: the parity
+walls extend the state itself, every other wall the intertwined state
+g = D_h ψ (`halfline` module).  A sweep over durations (`history_sweep`)
+transforms ψ and the two extensions once; each row then builds one phase
+e^{-ik²t/2}, which evolves ψ and both extensions to t, and whose conjugate
+takes the reassembled direct sum back by U(-t).
+
 States are position samples (`halfline.WaveFunction`) on a grid symmetric
 about x = 0.  The numerical choices are fixed module constants: the
 reflection-safe horizon keeps a margin of 2 from the grid edges and reads
@@ -47,9 +54,11 @@ from .halfline import (
     HalfLineSystem,
     SpatialGrid,
     WaveFunction,
+    _from_dirichlet,
+    _image_extension,
+    _null_phase,
+    _to_dirichlet,
     production_route,
-    restricted_propagate,
-    spectral_evolve_line,
 )
 from .qcore import DecoherenceMatrix, _check_time
 
@@ -120,33 +129,59 @@ def _split_context(psi: WaveFunction, beta):
     n = g.n // 2
     right = HalfLineSystem(L=g.x_max, n=n, beta=beta)
     left = HalfLineSystem(L=g.x_max, n=n, beta=mirror_beta(beta))
-    return g, n, right, left
+    return g, right, left
 
 
-def direct_sum_evolve(psi: WaveFunction, pair: HistoryPair) -> WaveFunction:
-    """[U_r^β(t)(θψ)] ⊕ [U_r^{β,L}(t)((1-θ)ψ)] reassembled on the full grid.
+def _half_spectra(psi: WaveFunction, right: HalfLineSystem,
+                  left: HalfLineSystem) -> list:
+    """The direct sum's inputs, transformed once: per half line, its system,
+    the FFT of its image extension and, for finite β ≠ 0, g = D_h h, which
+    the march back needs.  The left half is taken in its outward coordinate
+    u = -x, with its boundary value read from the (continuous) state rather
+    than extrapolated."""
+    n = right.n
+    s = psi.samples
+    h_left = np.empty(n, dtype=complex)
+    h_left[0] = s[n]
+    h_left[1:] = s[1:n][::-1]
+    halves = []
+    for sys, h in ((right, s[n:]), (left, h_left)):
+        if production_route(sys) == "images":
+            halves.append((sys, np.fft.fft(_image_extension(h, sys)), None))
+        else:
+            g = _to_dirichlet(h, sys)
+            hard = HalfLineSystem(L=sys.L, n=n, beta=0.0)
+            halves.append((sys, np.fft.fft(_image_extension(g, hard)), g))
+    return halves
+
+
+def _direct_sum(halves: list, phase: np.ndarray, t: float) -> np.ndarray:
+    """[U_r^β(t)(θψ)] ⊕ [U_r^{β,L}(t)((1-θ)ψ)] on the full grid, from
+    `_half_spectra` and the phase e^{-ik²t/2} of the half lines' grid.
 
     The x = -L node has no mirror partner inside the half grid and is set to
     zero; states in the supported regime carry no weight there.
     """
-    g, n, right, left = _split_context(psi, pair.beta)
-    s = psi.samples
+    outs = []
+    for sys, spec, g in halves:
+        h = np.fft.ifft(spec * phase)[sys.n:]
+        if g is not None:
+            h[0] = g[0] * _null_phase(sys, t)
+            h = _from_dirichlet(h, sys)
+        outs.append(h)
+    n = halves[0][0].n
+    out = np.zeros(2 * n, dtype=complex)
+    out[n:] = outs[0]
+    out[1:n] = outs[1][1:][::-1]
+    return out
 
-    h_right = s[n:].copy()
-    r_out = restricted_propagate(WaveFunction(right.half_grid(), h_right),
-                                 right, pair.t,
-                                 method=production_route(right))
 
-    h_left = np.empty(n, dtype=complex)
-    h_left[0] = s[n]                     # boundary limit of the continuous state
-    h_left[1:] = s[1:n][::-1]            # u = -x, outward coordinate
-    l_out = restricted_propagate(WaveFunction(left.half_grid(), h_left),
-                                 left, pair.t, method=production_route(left))
-
-    out = np.zeros(g.n, dtype=complex)
-    out[n:] = r_out.samples
-    out[1:n] = l_out.samples[1:][::-1]
-    return WaveFunction(g, out)
+def direct_sum_evolve(psi: WaveFunction, pair: HistoryPair) -> WaveFunction:
+    """[U_r^β(t)(θψ)] ⊕ [U_r^{β,L}(t)((1-θ)ψ)] reassembled on the full grid."""
+    g, right, left = _split_context(psi, pair.beta)
+    phase = np.exp(-1j * right.full_grid().k ** 2 * pair.t / 2)
+    return WaveFunction(g, _direct_sum(_half_spectra(psi, right, left),
+                                       phase, pair.t))
 
 
 def class_amplitudes(psi: WaveFunction, pair: HistoryPair) -> ClassSplit:
@@ -155,15 +190,17 @@ def class_amplitudes(psi: WaveFunction, pair: HistoryPair) -> ClassSplit:
     grid_warning flags a cut too coarse for the state: the moduli at the two
     nodes adjacent to x = 0 differ by more than 20%.
     """
-    summed = direct_sum_evolve(psi, pair)
-    return _split_from_summed(psi, summed, pair.t)
+    summed = direct_sum_evolve(psi, pair).samples
+    back = np.exp(-1j * psi.grid.k ** 2 * -pair.t / 2)
+    return _split_from_summed(psi, summed, back)
 
 
-def _split_from_summed(psi: WaveFunction, summed: WaveFunction,
-                       t: float) -> ClassSplit:
-    """C₁ψ = U(-t)·summed, C₂ψ = ψ - C₁ψ, and the grid warning."""
+def _split_from_summed(psi: WaveFunction, summed: np.ndarray,
+                       back: np.ndarray) -> ClassSplit:
+    """C₁ψ = U(-t)·summed, with back = e^{ik²t/2} on ψ's grid; C₂ψ = ψ - C₁ψ;
+    and the grid warning."""
     n = psi.grid.n // 2
-    c1 = spectral_evolve_line(summed, -t)
+    c1 = WaveFunction(psi.grid, np.fft.ifft(np.fft.fft(summed) * back))
     c2 = WaveFunction(psi.grid, psi.samples - c1.samples)
     lo, hi = abs(psi.samples[n - 1]), abs(psi.samples[n + 1])
     ref = max(lo, hi)
@@ -220,7 +257,7 @@ def reflection_safe_horizon(psi: WaveFunction) -> float:
 
 @dataclass(frozen=True)
 class BetaScanRow:
-    """One (β, t) cell, as `history_row` evaluates it for the wall-condition
+    """One (β, t) cell, as `history_sweep` evaluates it for the wall-condition
     scan and the `histories` command.
 
     r_plus/r_minus: |ψ_t(0) - βψ_t'(0±)| for the fully evolved state (the
@@ -273,23 +310,48 @@ def _flux_through_zero(psi: WaveFunction) -> float:
     return float((np.conj(s[n]) * dpsi).imag)
 
 
+def history_sweep(psi: WaveFunction, beta: float | str, t_list,
+                  tol: float = 1e-3) -> list[BetaScanRow]:
+    """The (β, t) rows of one state, in t_list order.
+
+    ψ and the two half-line image extensions are transformed once per
+    sweep.  Each row builds one phase e^{-ik²t/2}: it evolves ψ to U(t)ψ
+    (distance to the direct sum, wall residuals, flux through x = 0) and
+    both half lines, and its conjugate takes the direct sum back to C₁ψ
+    (verdict, grid warning).  The half lines share ψ's phase only when their
+    grid has exactly ψ's wavenumbers; a grid symmetric only to rounding
+    gives them their own.
+    """
+    g, right, left = _split_context(psi, beta)
+    halves = _half_spectra(psi, right, left)
+    k_half = right.full_grid().k
+    k2 = g.k ** 2
+    k2_half = k2 if np.array_equal(k_half, g.k) else k_half ** 2
+    spec = np.fft.fft(psi.samples)
+    rows = []
+    for t in t_list:
+        t = HistoryPair(t=float(t), beta=beta).t      # the pair's t check
+        phase = np.exp(-1j * k2 * t / 2)
+        half_phase = phase if k2_half is k2 else np.exp(-1j * k2_half * t / 2)
+        summed = _direct_sum(halves, half_phase, t)
+        split = _split_from_summed(psi, summed, np.conj(phase))
+        evolved = WaveFunction(g, np.fft.ifft(spec * phase))
+        rp, rm = boundary_condition_residuals(evolved, beta)
+        rows.append(BetaScanRow(
+            beta=beta, t=t,
+            verdict=ConsistencyVerdict.from_matrix(_split_matrix(split), tol),
+            r_plus=rp, r_minus=rm,
+            flux0=_flux_through_zero(evolved),
+            directsum_distance=float(np.max(np.abs(evolved.samples
+                                                   - summed))),
+            grid_warning=split.grid_warning, rejected=False))
+    return rows
+
+
 def history_row(psi: WaveFunction, pair: HistoryPair,
                 tol: float = 1e-3) -> BetaScanRow:
-    """One (β, t) cell: the direct-sum evolution feeds both C₁ψ (verdict,
-    grid warning) and the distance to U(t)ψ (with its wall residuals and
-    flux through x = 0)."""
-    summed = direct_sum_evolve(psi, pair)
-    split = _split_from_summed(psi, summed, pair.t)
-    evolved = spectral_evolve_line(psi, pair.t)
-    rp, rm = boundary_condition_residuals(evolved, pair.beta)
-    return BetaScanRow(
-        beta=pair.beta, t=pair.t,
-        verdict=ConsistencyVerdict.from_matrix(_split_matrix(split), tol),
-        r_plus=rp, r_minus=rm,
-        flux0=_flux_through_zero(evolved),
-        directsum_distance=float(np.max(np.abs(evolved.samples
-                                               - summed.samples))),
-        grid_warning=split.grid_warning, rejected=False)
+    """One (β, t) cell: the one-duration case of `history_sweep`."""
+    return history_sweep(psi, pair.beta, [pair.t], tol)[0]
 
 
 def beta_condition_scan(builder: Callable[[float | str, SpatialGrid], WaveFunction],
@@ -300,8 +362,8 @@ def beta_condition_scan(builder: Callable[[float | str, SpatialGrid], WaveFuncti
     builder(β, grid) must return a normalized full-line state satisfying
     ψ(0) = βψ'(0) at t = 0; violations beyond 1e-6 (checked with the
     spectral derivative, which is exact for smooth band-limited states)
-    mark the row rejected.  Rows are independent and safe to compute
-    concurrently; output is sorted by (β, t) with the reflecting wall last.
+    mark the row rejected.  Each accepted β is one `history_sweep` over
+    t_list; output is sorted by (β, t) with the reflecting wall last.
     """
     if grid is None:
         grid = SpatialGrid(-40.0, 40.0, 4096)
@@ -309,17 +371,14 @@ def beta_condition_scan(builder: Callable[[float | str, SpatialGrid], WaveFuncti
     for beta in beta_list:
         psi0 = builder(beta, grid)
         r0p, r0m = boundary_condition_residuals(psi0, beta)
-        bad = _spectral_gate_residual(psi0, beta) > 1e-6
-        for t in t_list:
-            if bad:
-                rows.append(BetaScanRow(beta=beta, t=float(t), verdict=None,
-                                        r_plus=r0p, r_minus=r0m,
-                                        flux0=math.nan,
-                                        directsum_distance=math.nan,
-                                        grid_warning=False, rejected=True))
-                continue
-            rows.append(history_row(psi0, HistoryPair(t=float(t), beta=beta),
-                                    tol=tol))
+        if _spectral_gate_residual(psi0, beta) > 1e-6:
+            rows += [BetaScanRow(beta=beta, t=float(t), verdict=None,
+                                 r_plus=r0p, r_minus=r0m, flux0=math.nan,
+                                 directsum_distance=math.nan,
+                                 grid_warning=False, rejected=True)
+                     for t in t_list]
+            continue
+        rows += history_sweep(psi0, beta, t_list, tol)
 
     def key(row: BetaScanRow):
         if isinstance(row.beta, str):

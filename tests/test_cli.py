@@ -392,6 +392,17 @@ class TestPdxVerifyCommand:
                          "100,101", "--out", str(out)]) == 3
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("n_grid", ["4", "7"])
+    def test_line_grid_size_named(self, tmp_path, capsys, n_grid):
+        # the half-line system used to refuse it as "n must be >= 8"
+        from zenopath import cli
+
+        out = tmp_path / "x.csv"
+        assert cli.main(["pdx-verify", "--system", "line", "--n-grid", n_grid,
+                         "--out", str(out)]) == 3
+        assert f"n_grid must be >= 8, got {n_grid}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_system_choice(self, tmp_path):
         proc = run_cli("pdx-verify", "--system", "ring", "--out",
                        str(tmp_path / "x.csv"))
@@ -577,6 +588,18 @@ class TestArrivalCommand:
             in proc.stderr
 
 
+    @pytest.mark.parametrize("n_p", ["7", "6", "1025"])
+    def test_momentum_grid_size_named(self, tmp_path, capsys, n_p):
+        # the momentum grid used to refuse it as "n must be even and >= 8"
+        from zenopath import cli
+
+        out = tmp_path / "x.csv"
+        assert cli.main(["arrival", "--n-p", n_p, "--out", str(out)]) == 3
+        assert (f"n_p must be even and >= 8, got {n_p}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # determinism, formats, resolution order
 
@@ -588,6 +611,28 @@ class TestDeterminism:
             proc = run_cli("zeno-converge", "--out", str(out))
             assert proc.returncode == 0, proc.stderr
         assert a.read_bytes() == b.read_bytes()
+
+    def test_csv_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # every command on its defaults, the line system, and the README
+        # examples; one child process at a time
+        configs = [(cmd,) for cmd in SCHEMAS] + [
+            ("pdx-verify", "--system", "line"),
+            ("twostate", "--t", "1.5707963267948966"),
+            ("zeno-converge", "--n-list", "1,10,100,1000"),
+            ("pdx-verify", "--system", "line", "--ladder", "100,200,400"),
+            ("histories", "--parity", "odd", "--beta", "0", "--x0", "5"),
+            ("arrival", "--p0", "2", "--x0", "-10", "--sigma-p", "0.2",
+             "--smear-tau", "0.1"),
+        ]
+        for i, args in enumerate(configs):
+            tables = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{i}-{threads}.csv"
+                proc = run_cli(*args, "--out", str(out),
+                               env_extra={"OPENBLAS_NUM_THREADS": threads})
+                assert proc.returncode == 0, (args, proc.stderr)
+                tables.append(out.read_bytes())
+            assert tables[0] == tables[1], args
 
     def test_metadata_lines_round_trip_as_config(self, tmp_path):
         first = tmp_path / "first.csv"

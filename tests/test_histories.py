@@ -21,9 +21,12 @@ import pytest
 
 from zenopath.halfline import (
     NEUMANN,
+    HalfLineSystem,
     SpatialGrid,
     WaveFunction,
     gaussian_packet,
+    production_route,
+    restricted_propagate,
     spectral_evolve_line,
 )
 from zenopath.histories import (
@@ -32,11 +35,13 @@ from zenopath.histories import (
     ConsistencyVerdict,
     HistoryPair,
     beta_condition_scan,
+    boundary_condition_residuals,
     class_amplitudes,
     consistency_verdict,
     decoherence_line,
     direct_sum_evolve,
     history_row,
+    history_sweep,
     mirror_beta,
     reflection_safe_horizon,
     robin_state_builder,
@@ -283,22 +288,105 @@ class TestReflectionSafeHorizon:
         assert reflection_safe_horizon(psi) == 0.0
 
 
+def oracle_row(psi, beta, t, tol=1e-3):
+    """One (β, t) row by the per-row formula: each half line through
+    `restricted_propagate` on its production route, then U(-t) and U(t)
+    by `spectral_evolve_line`, every phase built from its own grid."""
+    g = psi.grid
+    n = g.n // 2
+    right = HalfLineSystem(L=g.x_max, n=n, beta=beta)
+    left = HalfLineSystem(L=g.x_max, n=n, beta=mirror_beta(beta))
+    s = psi.samples
+    h_left = np.concatenate([s[n:n + 1], s[1:n][::-1]])
+    outs = [restricted_propagate(WaveFunction(sys.half_grid(), h), sys, t,
+                                 method=production_route(sys)).samples
+            for sys, h in ((right, s[n:].copy()), (left, h_left))]
+    summed = np.zeros(g.n, dtype=complex)
+    summed[n:] = outs[0]
+    summed[1:n] = outs[1][1:][::-1]
+    c1 = spectral_evolve_line(WaveFunction(g, summed), -t)
+    c2 = WaveFunction(g, s - c1.samples)
+    d12 = c2.inner(c1)
+    dm = DecoherenceMatrix(np.array([[c1.inner(c1), d12],
+                                     [np.conj(d12), c2.inner(c2)]]))
+    evolved = spectral_evolve_line(psi, t)
+    rp, rm = boundary_condition_residuals(evolved, beta)
+    lo, hi = abs(s[n - 1]), abs(s[n + 1])
+    ref = max(lo, hi)
+    dpsi = (evolved.samples[n + 1] - evolved.samples[n - 1]) / (2 * g.dx)
+    return BetaScanRow(
+        beta=beta, t=t, verdict=ConsistencyVerdict.from_matrix(dm, tol),
+        r_plus=rp, r_minus=rm,
+        flux0=float((np.conj(evolved.samples[n]) * dpsi).imag),
+        directsum_distance=float(np.max(np.abs(evolved.samples - summed))),
+        grid_warning=bool(ref > 1e-12 and abs(hi - lo) > 0.2 * ref),
+        rejected=False)
+
+
 class TestHistoryRow:
     def test_cli_sweep_runs_one_direct_sum_per_row(self, monkeypatch):
         from zenopath import cli, histories
-        calls = []
-        real = histories.direct_sum_evolve
+        calls = {name: [] for name in
+                 ("_image_extension", "_to_dirichlet", "_direct_sum")}
 
-        def counted(*args, **kwargs):
-            calls.append(args[1].t)
-            return real(*args, **kwargs)
+        def counted(name):
+            real = getattr(histories, name)
 
-        # the cli module is patched too, so a direct import there is counted
-        monkeypatch.setattr(histories, "direct_sum_evolve", counted)
-        monkeypatch.setattr(cli, "direct_sum_evolve", counted, raising=False)
-        table = cli.cmd_histories(cli.RunConfig("histories", {"n_t": 3}))
-        assert len(table.rows) == 3
-        assert calls == [row[0] for row in table.rows]
+            def wrapper(*args, **kwargs):
+                calls[name].append(args[2] if name == "_direct_sum" else 1)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(histories, name, counted(name))
+        for beta, n_t in ((0.0, 3), (0.0, 5), (0.7, 3), (0.7, 5)):
+            for seen in calls.values():
+                seen.clear()
+            table = cli.cmd_histories(cli.RunConfig(
+                "histories", {"n_t": n_t, "beta": beta}))
+            p = table.metadata
+            t_values = list(np.linspace(float(p["t_min"]), float(p["t_max"]),
+                                        n_t))
+            assert [row[0] for row in table.rows] == t_values
+            # one direct sum per row, in t order; one image extension (and,
+            # at finite β, one D_h) per half line per sweep, whatever n_t is
+            assert calls["_direct_sum"] == t_values
+            assert len(calls["_image_extension"]) == 2
+            assert len(calls["_to_dirichlet"]) == (0 if beta == 0.0 else 2)
+
+    @pytest.mark.parametrize("parity", [None, "odd", "even"])
+    @pytest.mark.parametrize("beta", [0.0, NEUMANN, 0.7, -1.3])
+    def test_sweep_rows_equal_per_row_oracle(self, beta, parity):
+        grid = SpatialGrid(-40.0, 40.0, 1024)
+        x0, p0 = (-5.0, 2.0) if parity is None else (5.5, -1.2)
+        psi = gaussian_packet(grid, x0, p0, 1.0, parity=parity)
+        times = np.linspace(0.0, 3.0, 4)
+        rows = history_sweep(psi, beta, times)
+        assert rows == [oracle_row(psi, beta, float(t)) for t in times]
+
+    @pytest.mark.parametrize("n", [2048, 4096])
+    def test_conjugate_phase_is_the_reverse_phase(self, n):
+        # C₁ψ takes U(-t) from the conjugate of the row's forward phase
+        k2 = SpatialGrid(-40.0, 40.0, n).k ** 2
+        for t in np.linspace(0.0, 10.0, 201):
+            back = np.conj(np.exp(-1j * k2 * t / 2))
+            direct = np.exp(-1j * k2 * -t / 2)
+            assert np.array_equal(back, direct)
+            # bitwise wherever the imaginary part is nonzero; an exact zero
+            # (k = 0, and every k at t = 0) differs only in its sign
+            live = direct.imag != 0
+            assert back[live].tobytes() == direct[live].tobytes()
+            assert live.sum() == (0 if t == 0 else n - 1)
+
+    @pytest.mark.parametrize("beta", [0.0, NEUMANN, 0.7, -1.3])
+    def test_rounding_symmetric_grid_keeps_per_half_phases(self, beta):
+        grid = SpatialGrid(-40.0 - 4e-12, 40.0, 1024)
+        assert grid.is_symmetric()
+        assert not np.array_equal(SpatialGrid(-40.0, 40.0, 1024).k, grid.k)
+        psi = gaussian_packet(grid, -5.0, 2.0, 1.0)
+        times = [0.0, 1.25, 2.5]
+        rows = history_sweep(psi, beta, times)
+        assert rows == [oracle_row(psi, beta, t) for t in times]
 
     @pytest.mark.parametrize("beta", [0.0, 0.7, -1.3, NEUMANN])
     def test_scan_rows_are_history_rows(self, beta):
