@@ -377,7 +377,8 @@ def cmd_pdx_verify(cfg: RunConfig) -> ResultTable:
     """Residual of the propagator split across a quadrature refinement
     ladder; metadata carries the fitted convergence order and a monotone
     flag (a non-decreasing step is flagged in its row, not fatal).  The
-    line ladder is one pass (`line_pdx_ladder`)."""
+    line ladder is one pass (`line_pdx_ladder`), refused for a t past the
+    packet's reflection-safe horizon, as `histories` refuses a sweep."""
     p = cfg.params
     ladder = p["ladder"]
 
@@ -403,6 +404,12 @@ def cmd_pdx_verify(cfg: RunConfig) -> ResultTable:
                      + 1j * packet.p0 * g.x)
         raw[g.x < 0] = 0.0
         psi = WaveFunction(g, raw).normalized()
+        horizon = reflection_safe_horizon(psi)
+        if math.isfinite(p["t"]) and p["t"] > horizon:
+            raise ValueError(f"the split reaches t = {p['t']:g}, past the "
+                             f"reflection-safe horizon {horizon:.4g} of this "
+                             "packet and grid; its residuals would carry FFT "
+                             "wrap-around")
         values = line_pdx_ladder(psi, system, p["t"], ladder)
 
     rows = []

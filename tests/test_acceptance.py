@@ -1,4 +1,4 @@
-"""Release gate: the ten numerical contracts this package promises.
+"""Release gate: the eleven numerical contracts this package promises.
 
 Each test checks one contract end to end at its stated tolerance and
 wall-clock budget, and reports a single summary line (visible under

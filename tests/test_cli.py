@@ -392,6 +392,24 @@ class TestPdxVerifyCommand:
                          "100,101", "--out", str(out)]) == 3
         assert calls == [] and not out.exists()
 
+    def test_line_past_the_horizon_refused(self, tmp_path, capsys,
+                                           monkeypatch):
+        # the default line packet's reflection-safe horizon is 8.07; at
+        # t = 30 the ladder used to write residuals of 0.2-0.7 with exit 0
+        from zenopath import cli, halfline
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a phase table was built past the horizon")
+
+        monkeypatch.setattr(halfline, "_quadrature_rows", refuse)
+        out = tmp_path / "x.csv"
+        assert cli.main(["pdx-verify", "--system", "line", "--t", "30",
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "reflection-safe horizon 8.065" in err
+        assert "t = 30" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_grid", ["4", "7"])
     def test_line_grid_size_named(self, tmp_path, capsys, n_grid):
         # the half-line system used to refuse it as "n must be >= 8"

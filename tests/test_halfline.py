@@ -14,8 +14,11 @@ Oracles used here:
     full-line spectral evolutions (odd state at the hard wall, even state
     at the reflecting wall)
   * a per-rung line split with the full 2n-column phase table as the
-    oracle for the one-pass ladder (half spectrum, strided nested rungs)
+    oracle for the one-pass ladder (half spectrum, strided nested rungs),
+    and the direct cos/sin build as the reference for the cached phase table
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +51,7 @@ from zenopath.halfline import (
     _intertwine_propagate,
     _line_pdx_parts,
     _linear_scan,
+    _phase_table,
     _propagate_half_samples,
     _wall_probe,
 )
@@ -758,3 +762,70 @@ class TestLinePdxLadder:
         for bad in ([100, 101], [100, 0], []):
             with pytest.raises(ValueError, match="n_quad"):
                 line_pdx_ladder(psi, s, 1.5, bad)
+
+
+class TestPhaseTableCache:
+    """The crossing quadrature's phase table is kept per (t, L, n, n_quad)."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        _phase_table.cache_clear()
+        yield
+        _phase_table.cache_clear()
+
+    def test_hit_repeats_the_miss(self):
+        s = HalfLineSystem(L=40.0, n=1024, beta=NEUMANN)
+        psi = right_packet(s, 6.0, -1.0, 1.0)
+        first = line_pdx_ladder(psi, s, 1.5, [100, 200, 400])
+        second = line_pdx_ladder(psi, s, 1.5, [100, 200, 400])
+        assert first == second
+        info = _phase_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_table_is_the_direct_build(self, n):
+        t, L, n_quad = np.pi / 2, 40.0, 200
+        u = np.sqrt(t) * np.sin(np.linspace(0.0, np.pi / 2, n_quad + 1))
+        k = HalfLineSystem(L=L, n=n, beta=0.0).full_grid().k[:n + 1]
+        phase = np.outer(u ** 2, k ** 2) * -0.5
+        table = _phase_table(t, L, n, n_quad)
+        assert np.array_equal(table.real, np.cos(phase))
+        assert np.array_equal(table.imag, np.sin(phase))
+
+    def test_table_is_read_only(self):
+        table = _phase_table(1.5, 40.0, 512, 100)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+    @pytest.mark.parametrize("other", [(2.0, 40.0, 512, 100),
+                                       (1.5, 30.0, 512, 100),
+                                       (1.5, 40.0, 1024, 100),
+                                       (1.5, 40.0, 512, 200)],
+                             ids=["t", "L", "n_grid", "n_quad"])
+    def test_every_argument_is_in_the_key(self, other):
+        _phase_table(1.5, 40.0, 512, 100)
+        _phase_table(*other)
+        info = _phase_table.cache_info()
+        assert (info.misses, info.hits) == (2, 0)
+
+    def test_at_most_two_tables(self):
+        for n in (512, 1024, 2048):
+            s = HalfLineSystem(L=40.0, n=n, beta=0.0)
+            line_pdx_ladder(right_packet(s, 6.0, -1.0, 1.0), s, 1.5,
+                            [100, 200])
+            assert _phase_table.cache_info().currsize <= 2
+        assert _phase_table.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("beta", [0.7, -0.8])
+    def test_hit_at_finite_beta_equals_fresh_build(self, beta):
+        s = HalfLineSystem(L=40.0, n=1024, beta=beta)
+        psi = right_packet(s, 6.0, -1.0, 1.0)
+        fresh = line_pdx_ladder(psi, s, 3.0, [100, 200, 400])
+        # a table warmed by another wall and another state
+        _phase_table.cache_clear()
+        other = replace(s, beta=NEUMANN)
+        line_pdx_ladder(right_packet(other, 7.0, -0.8, 1.2), other, 3.0,
+                        [400])
+        assert line_pdx_ladder(psi, s, 3.0, [100, 200, 400]) == fresh
+        assert _phase_table.cache_info().hits == 1
