@@ -378,9 +378,13 @@ def cmd_pdx_verify(cfg: RunConfig) -> ResultTable:
     ladder; metadata carries the fitted convergence order and a monotone
     flag (a non-decreasing step is flagged in its row, not fatal).  The
     line ladder is one pass (`line_pdx_ladder`), refused for a t past the
-    packet's reflection-safe horizon, as `histories` refuses a sweep."""
+    packet's reflection-safe horizon, as `histories` refuses a sweep.  A
+    ladder with a repeated rung, whose order fit is singular, is refused
+    before any work on either system."""
     p = cfg.params
     ladder = p["ladder"]
+    if len(set(ladder)) != len(ladder):
+        raise ValueError(f"ladder rungs must be distinct, got {ladder}")
 
     if p["system"] == "twostate":
         sys_ = TwoStateSystem(p["omega"])

@@ -10,8 +10,12 @@ intertwining (Clark, Menikoff & Sharp, Phys. Rev. D 22, 3012 (1980)):
 D = 1 - β∂ₓ maps Robin-wall states to hard-wall states and commutes with
 the free Hamiltonian, so U_r^β(t) = D⁻¹ U_r^0(t) D, with the bound state
 exp(x/β) (β < 0), which D annihilates, carried by its own phase.  These two
-routes are the production ones (`production_route`).  The eigendecomposition
-of the finite-difference H_β (method="eig") stays as an independent oracle.
+routes are the production ones (`production_route`), and both are one
+transform, `half_spectrum`: the FFT of the image extension (of ψ, or of
+g = D_h ψ), read at any phase for the evolved samples and once for the wall
+rows of the line split.  `restricted_propagate`, the line split and the
+histories direct sum all build it.  The eigendecomposition of the
+finite-difference H_β (method="eig") stays as an independent oracle.
 
 The propagator split on the line reads, for ψ supported in x ≥ 0,
 
@@ -327,30 +331,32 @@ def _propagate_half_samples(h: np.ndarray, sys: HalfLineSystem, t: float) -> np.
 
 
 def _image_extension(h: np.ndarray, sys: HalfLineSystem) -> np.ndarray:
-    """Parity extension of half-line samples onto the symmetric full grid."""
+    """Odd (hard wall) or even (reflecting wall) extension of half-line
+    samples onto the symmetric full grid; `half_spectrum` is its one user."""
     n = sys.n
     f = np.zeros(2 * n, dtype=complex)
     f[n:] = h
     if sys.is_dirichlet:
         f[n] = 0.0
         f[1:n] = -h[1:][::-1]
-    elif sys.is_neumann:
-        f[1:n] = h[1:][::-1]
     else:
-        raise ValueError("image method exists only for beta = 0 or NEUMANN")
+        f[1:n] = h[1:][::-1]
     return f
 
 
 def image_method_propagate(psi_half: WaveFunction, sys: HalfLineSystem,
                            t: float) -> WaveFunction:
-    """Restricted propagation by images: odd (Dirichlet) or even (Neumann)
-    extension, exact spectral evolution on [-L, L), restriction to x ≥ 0."""
+    """Restricted propagation by images, either sign of t: odd (Dirichlet)
+    or even (Neumann) extension, exact spectral evolution on [-L, L),
+    restriction to x ≥ 0."""
     if psi_half.grid != sys.half_grid():
         raise ValueError("state grid does not match the half-line system")
-    f = _image_extension(psi_half.samples, sys)
-    full = WaveFunction(sys.full_grid(), f)
-    out = spectral_evolve_line(full, t)
-    return WaveFunction(sys.half_grid(), out.samples[sys.n:])
+    if production_route(sys) != "images":
+        raise ValueError("image method exists only for beta = 0 or NEUMANN")
+    _check_time(t)
+    phase = np.exp(-1j * sys.full_grid().k ** 2 * t / 2)
+    return WaveFunction(sys.half_grid(),
+                        half_spectrum(psi_half.samples, sys).at(phase, t))
 
 
 def _linear_scan(u: np.ndarray, c: float) -> np.ndarray:
@@ -436,16 +442,6 @@ def _null_phase(sys: HalfLineSystem, t) -> np.ndarray | float:
     return np.exp(1j * np.asarray(t) / (2 * sys.beta ** 2))
 
 
-def _intertwine_propagate(h: np.ndarray, sys: HalfLineSystem, t: float) -> np.ndarray:
-    """U_r^β(t)ψ = D_h⁻¹ U_r^0(t) D_h ψ, any sign of t, O(n log n)."""
-    g = _to_dirichlet(h, sys)
-    hard = replace(sys, beta=0.0)
-    out = image_method_propagate(WaveFunction(hard.half_grid(), g), hard,
-                                 t).samples
-    out[0] = g[0] * _null_phase(sys, t)
-    return _from_dirichlet(out, sys)
-
-
 def _wall_functional(sys: HalfLineSystem) -> np.ndarray:
     """Row vector ℓ with (D_h⁻¹ g)(0) = ℓ @ g, read off `_from_dirichlet`."""
     e, alpha, gamma = _intertwine_cell(sys)
@@ -471,6 +467,68 @@ def production_route(sys: HalfLineSystem) -> str:
     return "images" if (sys.is_dirichlet or sys.is_neumann) else "intertwine"
 
 
+@dataclass(frozen=True, eq=False)
+class HalfSpectrum:
+    """A half-line state transformed once for every read (`half_spectrum`).
+
+    spec is the FFT of an image extension on sys.full_grid(): of the state
+    itself at the parity walls, and of g = D_h ψ (odd, the hard wall) at
+    every finite β ≠ 0, where g is kept for its wall null mode g_0, which
+    evolves outside the image route.
+    """
+
+    sys: HalfLineSystem
+    spec: np.ndarray
+    g: np.ndarray | None
+
+    def at(self, phase: np.ndarray, t: float) -> np.ndarray:
+        """U_r^β(t)ψ on [0, L] for either sign of t, from the phase
+        e^{-iħk²t/2m} on the wavenumbers of sys.full_grid()."""
+        h = np.fft.ifft(self.spec * phase)[self.sys.n:]
+        if self.g is not None:
+            h[0] = self.g[0] * _null_phase(self.sys, t)
+            h = _from_dirichlet(h, self.sys)
+        return h
+
+    def wall_probe(self) -> tuple[np.ndarray, np.ndarray]:
+        """Wall value a(s) and derivative b(s) of U_r^β(s)ψ as k-space rows:
+
+            [a(s); b(s)] = coef @ e^{-iħk²s/2m} + null·_null_phase(sys, s)
+
+        over the full grid's wavenumbers k.  The evolved extension is read
+        at the wall through one fixed weight vector, so coef is spec times
+        that vector's transform.  Parity walls: the extension is smooth
+        through x = 0, so the derivative is taken spectrally (exact for the
+        grid).  Finite β: ψ_s(0) = ℓ @ g_s is the march's wall value
+        (`_wall_functional`), b(s) = a(s)/β, and null carries g_0.
+        """
+        sys, n = self.sys, self.sys.n
+        if self.g is None:
+            e0 = np.exp(2j * np.pi * np.arange(2 * n) * n / (2 * n))  # value at x=0
+            value = self.spec * e0 / (2 * n)
+            zero = np.zeros_like(value)
+            if sys.is_dirichlet:
+                return np.array([zero, 1j * sys.full_grid().k * value]), np.zeros(2)
+            return np.array([value, zero]), np.zeros(2)
+        ell = _wall_functional(sys)
+        probe = np.zeros(2 * n)
+        probe[n + 1:] = ell[1:]
+        value = self.spec * np.fft.ifft(probe)
+        return (np.array([value, value / sys.beta]),
+                ell[0] * self.g[0] * np.array([1.0, 1.0 / sys.beta]))
+
+
+def half_spectrum(h: np.ndarray, sys: HalfLineSystem) -> HalfSpectrum:
+    """The one image transform of half-line samples h on sys, which every
+    production evolution of the half line reads: `restricted_propagate`
+    (images and intertwine), the line split and the histories direct sum."""
+    if production_route(sys) == "images":
+        return HalfSpectrum(sys, np.fft.fft(_image_extension(h, sys)), None)
+    g = _to_dirichlet(h, sys)
+    hard = replace(sys, beta=0.0)
+    return HalfSpectrum(sys, np.fft.fft(_image_extension(g, hard)), g)
+
+
 def restricted_propagate(psi_half: WaveFunction, sys: HalfLineSystem, t: float,
                          method: str = "eig") -> WaveFunction:
     """U_r^β(t) ψ = exp(-iH_β t/ħ) ψ on [0, L], forward in time (t ≥ 0).
@@ -481,9 +539,9 @@ def restricted_propagate(psi_half: WaveFunction, sys: HalfLineSystem, t: float,
     method="images" uses the parity extension (β = 0 and NEUMANN only).
     method="intertwine" (finite β ≠ 0) maps ψ to the hard wall with D_h,
     evolves by images and maps back; spectral in time, O(dx²) from D_h,
-    exactly the identity at t = 0 and exactly reversible.  The route
-    kernels (`image_method_propagate`, `_intertwine_propagate`,
-    `_propagate_half_samples`) take either sign of t.
+    exactly the identity at t = 0 and exactly reversible.  Both read one
+    `half_spectrum`, whose `at` takes either sign of t, as do
+    `image_method_propagate` and the eig kernel `_propagate_half_samples`.
     """
     _check_time(t, nonnegative=True)
     if psi_half.grid != sys.half_grid():
@@ -494,7 +552,8 @@ def restricted_propagate(psi_half: WaveFunction, sys: HalfLineSystem, t: float,
         if sys.is_dirichlet or sys.is_neumann:
             raise ValueError("intertwine needs a finite beta != 0; "
                              "the parity walls take method='images'")
-        out = _intertwine_propagate(psi_half.samples, sys, t)
+        phase = np.exp(-1j * sys.full_grid().k ** 2 * t / 2)
+        out = half_spectrum(psi_half.samples, sys).at(phase, t)
     elif method == "eig":
         out = _propagate_half_samples(psi_half.samples, sys, t)
     else:
@@ -590,7 +649,8 @@ def line_pdx_terms(psi: WaveFunction, sys: HalfLineSystem, t: float,
 def line_pdx_ladder(psi: WaveFunction, sys: HalfLineSystem, t: float,
                     ladder: list[int]) -> list[float]:
     """`line_pdx_residual` for every n_quad of a refinement ladder, in one
-    pass: U(t)ψ, U_r^β(t)ψ and the wall probe are computed once, and a rung
+    pass: U(t)ψ is computed once, and U_r^β(t)ψ and the wall probe both read
+    one `half_spectrum` of ψ (one D_h ψ at finite β); a rung
     whose θ nodes are a strided subset of a finer rung's reads that rung's
     phase table and wall values instead of building its own.  Phase tables
     are cached per (t, L, n, n_quad) for the two most recent keys
@@ -632,7 +692,8 @@ def _line_pdx_parts(psi: WaveFunction, sys: HalfLineSystem, t: float,
     # table runs over |k| (columns 0..n) and `fold` maps each mode to its
     # column.  The wall rows are summed over each ±k pair before the product.
     fold = np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n))
-    coef, null = _wall_probe(samples[n:], sys)
+    spectrum = half_spectrum(samples[n:], sys)
+    coef, null = spectrum.wall_probe()
     probe = np.conj(tail * coef)
     folded = probe[:, :n + 1].copy()
     folded[:, 1:n] += probe[:, :n:-1]
@@ -644,9 +705,7 @@ def _line_pdx_parts(psi: WaveFunction, sys: HalfLineSystem, t: float,
 
     evolved = spectral_evolve_line(psi, t).samples
     restricted = np.zeros(g.n, dtype=complex)
-    half = WaveFunction(sys.half_grid(), samples[n:])
-    restricted[n:] = restricted_propagate(half, sys, t,
-                                          method=production_route(sys)).samples
+    restricted[n:] = spectrum.at(tail, t)      # tail is e^{-iħk²t/2m}
 
     # Finest rung first: a rung whose θ nodes are every N/n_quad-th node of
     # a built rung N reads N's rows; any other rung builds its own.
@@ -729,38 +788,6 @@ def _raised_cosine_window(k: np.ndarray, k_pass: float, k_stop: float) -> np.nda
     w[mask] = 0.5 * (1 + np.cos(np.pi * np.clip(ramp[mask], 0.0, 1.0)))
     w[ak >= k_stop] = 0.0
     return w
-
-
-def _wall_probe(h0: np.ndarray, sys: HalfLineSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Wall value a(s) and derivative b(s) of U_r^β(s)ψ as k-space rows:
-
-        [a(s); b(s)] = coef @ e^{-iħk²s/2m} + null·_null_phase(sys, s)
-
-    over the full grid's wavenumbers k.  Every wall evolves an image
-    extension (of ψ, or of g = D_h ψ) and reads it at the wall through one
-    fixed weight vector, so coef is that extension's spectrum times the
-    vector's transform.  Parity walls: the extension is smooth through
-    x = 0, so the derivative is taken spectrally (exact for the grid).
-    Finite β: ψ_s(0) = ℓ @ g_s is the march's wall value
-    (`_wall_functional`), b(s) = a(s)/β, and null carries g_0, which
-    evolves outside the image route.
-    """
-    n = sys.n
-    if sys.is_dirichlet or sys.is_neumann:
-        e0 = np.exp(2j * np.pi * np.arange(2 * n) * n / (2 * n))  # value at x=0
-        value = np.fft.fft(_image_extension(h0, sys)) * e0 / (2 * n)
-        zero = np.zeros_like(value)
-        if sys.is_dirichlet:
-            return np.array([zero, 1j * sys.full_grid().k * value]), np.zeros(2)
-        return np.array([value, zero]), np.zeros(2)
-    g = _to_dirichlet(h0, sys)
-    ell = _wall_functional(sys)
-    probe = np.zeros(2 * n)
-    probe[n + 1:] = ell[1:]
-    value = (np.fft.fft(_image_extension(g, replace(sys, beta=0.0)))
-             * np.fft.ifft(probe))
-    return (np.array([value, value / sys.beta]),
-            ell[0] * g[0] * np.array([1.0, 1.0 / sys.beta]))
 
 
 def line_pdx_residual(psi: WaveFunction, sys: HalfLineSystem, t: float,

@@ -25,12 +25,13 @@ restriction is the strict complement, and the left evolution reads its
 boundary value at x = 0 from the (continuous) state rather than
 extrapolating.
 
-Both half lines evolve by images on the symmetric full grid: the parity
-walls extend the state itself, every other wall the intertwined state
-g = D_h ψ (`halfline` module).  A sweep over durations (`history_sweep`)
-transforms ψ and the two extensions once; each row then builds one phase
-e^{-ik²t/2}, which evolves ψ and both extensions to t, and whose conjugate
-takes the reassembled direct sum back by U(-t).
+Both half lines evolve through `halfline.half_spectrum`, the one image
+transform every half-line evolution reads: the parity walls extend the
+state itself, every other wall the intertwined state g = D_h ψ.  A sweep
+over durations (`history_sweep`) transforms ψ and the two half lines once;
+each row then builds one phase e^{-ik²t/2}, which evolves ψ and both half
+lines to t, and whose conjugate takes the reassembled direct sum back by
+U(-t).  `consistency_verdict` is the sweep's one-duration case.
 
 States are position samples (`halfline.WaveFunction`) on a grid symmetric
 about x = 0.  The numerical choices are fixed module constants: the
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -54,11 +55,7 @@ from .halfline import (
     HalfLineSystem,
     SpatialGrid,
     WaveFunction,
-    _from_dirichlet,
-    _image_extension,
-    _null_phase,
-    _to_dirichlet,
-    production_route,
+    half_spectrum,
 )
 from .qcore import DecoherenceMatrix, _check_time
 
@@ -107,14 +104,6 @@ class ConsistencyVerdict:
         return abs(self.p_same + self.p_cross + 2 * self.re_d12 - 1.0)
 
 
-class ClassSplit(NamedTuple):
-    """Amplitudes of the two histories; C₁ψ + C₂ψ = ψ by construction."""
-
-    c1: WaveFunction
-    c2: WaveFunction
-    grid_warning: bool
-
-
 def mirror_beta(beta: float | str) -> float | str:
     """Wall parameter of the left half-line in its outward coordinate."""
     if isinstance(beta, str):
@@ -134,25 +123,16 @@ def _split_context(psi: WaveFunction, beta):
 
 def _half_spectra(psi: WaveFunction, right: HalfLineSystem,
                   left: HalfLineSystem) -> list:
-    """The direct sum's inputs, transformed once: per half line, its system,
-    the FFT of its image extension and, for finite β ≠ 0, g = D_h h, which
-    the march back needs.  The left half is taken in its outward coordinate
-    u = -x, with its boundary value read from the (continuous) state rather
-    than extrapolated."""
+    """The direct sum's inputs, transformed once: one `half_spectrum` per
+    half line.  The left half is taken in its outward coordinate u = -x,
+    with its boundary value read from the (continuous) state rather than
+    extrapolated."""
     n = right.n
     s = psi.samples
     h_left = np.empty(n, dtype=complex)
     h_left[0] = s[n]
     h_left[1:] = s[1:n][::-1]
-    halves = []
-    for sys, h in ((right, s[n:]), (left, h_left)):
-        if production_route(sys) == "images":
-            halves.append((sys, np.fft.fft(_image_extension(h, sys)), None))
-        else:
-            g = _to_dirichlet(h, sys)
-            hard = HalfLineSystem(L=sys.L, n=n, beta=0.0)
-            halves.append((sys, np.fft.fft(_image_extension(g, hard)), g))
-    return halves
+    return [half_spectrum(s[n:], right), half_spectrum(h_left, left)]
 
 
 def _direct_sum(halves: list, phase: np.ndarray, t: float) -> np.ndarray:
@@ -162,69 +142,38 @@ def _direct_sum(halves: list, phase: np.ndarray, t: float) -> np.ndarray:
     The x = -L node has no mirror partner inside the half grid and is set to
     zero; states in the supported regime carry no weight there.
     """
-    outs = []
-    for sys, spec, g in halves:
-        h = np.fft.ifft(spec * phase)[sys.n:]
-        if g is not None:
-            h[0] = g[0] * _null_phase(sys, t)
-            h = _from_dirichlet(h, sys)
-        outs.append(h)
-    n = halves[0][0].n
+    right, left = (half.at(phase, t) for half in halves)
+    n = right.size
     out = np.zeros(2 * n, dtype=complex)
-    out[n:] = outs[0]
-    out[1:n] = outs[1][1:][::-1]
+    out[n:] = right
+    out[1:n] = left[1:][::-1]
     return out
 
 
-def direct_sum_evolve(psi: WaveFunction, pair: HistoryPair) -> WaveFunction:
-    """[U_r^β(t)(θψ)] ⊕ [U_r^{β,L}(t)((1-θ)ψ)] reassembled on the full grid."""
-    g, right, left = _split_context(psi, pair.beta)
-    phase = np.exp(-1j * right.full_grid().k ** 2 * pair.t / 2)
-    return WaveFunction(g, _direct_sum(_half_spectra(psi, right, left),
-                                       phase, pair.t))
-
-
-def class_amplitudes(psi: WaveFunction, pair: HistoryPair) -> ClassSplit:
-    """Amplitudes C₁ψ (never crosses) and C₂ψ = ψ - C₁ψ (crosses).
-
-    grid_warning flags a cut too coarse for the state: the moduli at the two
-    nodes adjacent to x = 0 differ by more than 20%.
-    """
-    summed = direct_sum_evolve(psi, pair).samples
-    back = np.exp(-1j * psi.grid.k ** 2 * -pair.t / 2)
-    return _split_from_summed(psi, summed, back)
-
-
-def _split_from_summed(psi: WaveFunction, summed: np.ndarray,
-                       back: np.ndarray) -> ClassSplit:
-    """C₁ψ = U(-t)·summed, with back = e^{ik²t/2} on ψ's grid; C₂ψ = ψ - C₁ψ;
-    and the grid warning."""
+def _grid_warning(psi: WaveFunction) -> bool:
+    """A cut too coarse for the state: the moduli at the two nodes adjacent
+    to x = 0 differ by more than 20%."""
     n = psi.grid.n // 2
-    c1 = WaveFunction(psi.grid, np.fft.ifft(np.fft.fft(summed) * back))
-    c2 = WaveFunction(psi.grid, psi.samples - c1.samples)
     lo, hi = abs(psi.samples[n - 1]), abs(psi.samples[n + 1])
     ref = max(lo, hi)
-    warning = bool(ref > 1e-12 and abs(hi - lo) > 0.2 * ref)
-    return ClassSplit(c1=c1, c2=c2, grid_warning=warning)
+    return bool(ref > 1e-12 and abs(hi - lo) > 0.2 * ref)
 
 
-def _split_matrix(split: ClassSplit) -> DecoherenceMatrix:
-    """d(i,j) = ⟨C_jψ|C_iψ⟩ from the two amplitudes."""
-    c1, c2, _ = split
+def _class_matrix(psi: WaveFunction, c1: np.ndarray) -> DecoherenceMatrix:
+    """d(i,j) = ⟨C_jψ|C_iψ⟩ in the order (stay, cross), from C₁ψ and
+    C₂ψ = ψ - C₁ψ."""
+    c1 = WaveFunction(psi.grid, c1)
+    c2 = WaveFunction(psi.grid, psi.samples - c1.samples)
     d12 = c2.inner(c1)                   # ⟨C₂ψ|C₁ψ⟩
     return DecoherenceMatrix(np.array([[c1.inner(c1), d12],
                                        [np.conj(d12), c2.inner(c2)]]))
 
 
-def decoherence_line(psi: WaveFunction, pair: HistoryPair) -> DecoherenceMatrix:
-    """d(i,j) = ⟨C_jψ|C_iψ⟩ for the pure state ψ, in the order (stay, cross)."""
-    return _split_matrix(class_amplitudes(psi, pair))
-
-
 def consistency_verdict(psi: WaveFunction, pair: HistoryPair,
                         tol: float = 1e-3) -> ConsistencyVerdict:
-    """Verdict with the grid-honest relative tolerance (default 1e-3)."""
-    return ConsistencyVerdict.from_matrix(decoherence_line(psi, pair), tol)
+    """Verdict with the grid-honest relative tolerance (default 1e-3): the
+    one-duration case of `history_sweep`."""
+    return history_sweep(psi, pair.beta, [pair.t], tol)[0].verdict
 
 
 def reflection_safe_horizon(psi: WaveFunction) -> float:
@@ -314,11 +263,12 @@ def history_sweep(psi: WaveFunction, beta: float | str, t_list,
                   tol: float = 1e-3) -> list[BetaScanRow]:
     """The (β, t) rows of one state, in t_list order.
 
-    ψ and the two half-line image extensions are transformed once per
-    sweep.  Each row builds one phase e^{-ik²t/2}: it evolves ψ to U(t)ψ
+    ψ and its two half lines (one `half_spectrum` each) are transformed
+    once per sweep, and the grid warning, which reads ψ alone, is taken
+    once.  Each row builds one phase e^{-ik²t/2}: it evolves ψ to U(t)ψ
     (distance to the direct sum, wall residuals, flux through x = 0) and
     both half lines, and its conjugate takes the direct sum back to C₁ψ
-    (verdict, grid warning).  The half lines share ψ's phase only when their
+    (verdict).  The half lines share ψ's phase only when their
     grid has exactly ψ's wavenumbers; a grid symmetric only to rounding
     gives them their own.
     """
@@ -328,30 +278,26 @@ def history_sweep(psi: WaveFunction, beta: float | str, t_list,
     k2 = g.k ** 2
     k2_half = k2 if np.array_equal(k_half, g.k) else k_half ** 2
     spec = np.fft.fft(psi.samples)
+    warning = _grid_warning(psi)
     rows = []
     for t in t_list:
         t = HistoryPair(t=float(t), beta=beta).t      # the pair's t check
         phase = np.exp(-1j * k2 * t / 2)
         half_phase = phase if k2_half is k2 else np.exp(-1j * k2_half * t / 2)
         summed = _direct_sum(halves, half_phase, t)
-        split = _split_from_summed(psi, summed, np.conj(phase))
+        c1 = np.fft.ifft(np.fft.fft(summed) * np.conj(phase))
         evolved = WaveFunction(g, np.fft.ifft(spec * phase))
         rp, rm = boundary_condition_residuals(evolved, beta)
         rows.append(BetaScanRow(
             beta=beta, t=t,
-            verdict=ConsistencyVerdict.from_matrix(_split_matrix(split), tol),
+            verdict=ConsistencyVerdict.from_matrix(_class_matrix(psi, c1),
+                                                   tol),
             r_plus=rp, r_minus=rm,
             flux0=_flux_through_zero(evolved),
             directsum_distance=float(np.max(np.abs(evolved.samples
                                                    - summed))),
-            grid_warning=split.grid_warning, rejected=False))
+            grid_warning=warning, rejected=False))
     return rows
-
-
-def history_row(psi: WaveFunction, pair: HistoryPair,
-                tol: float = 1e-3) -> BetaScanRow:
-    """One (β, t) cell: the one-duration case of `history_sweep`."""
-    return history_sweep(psi, pair.beta, [pair.t], tol)[0]
 
 
 def beta_condition_scan(builder: Callable[[float | str, SpatialGrid], WaveFunction],

@@ -392,6 +392,28 @@ class TestPdxVerifyCommand:
                          "100,101", "--out", str(out)]) == 3
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("system, ladder", [("line", "100,100"),
+                                                ("line", "100,200,100"),
+                                                ("twostate", "51,51")])
+    def test_repeated_rung_refused(self, tmp_path, capsys, monkeypatch,
+                                   system, ladder):
+        # a repeated rung used to write a fitted_order from a singular fit
+        # (0.779707 at 100,100 on the line) with exit 0
+        from zenopath import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the ladder was checked")
+
+        monkeypatch.setattr(cli, "line_pdx_ladder", refuse)
+        monkeypatch.setattr(cli, "pdx_assemble", refuse)
+        monkeypatch.setattr(cli, "evolve", refuse)
+        out = tmp_path / "x.csv"
+        assert cli.main(["pdx-verify", "--system", system, "--ladder", ladder,
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "ladder rungs must be distinct" in err
+        assert not out.exists()
+
     def test_line_past_the_horizon_refused(self, tmp_path, capsys,
                                            monkeypatch):
         # the default line packet's reflection-safe horizon is 8.07; at

@@ -34,6 +34,7 @@ from zenopath.halfline import (
     free_kernel,
     gaussian_packet,
     grid_zeno_product,
+    half_spectrum,
     halfline_eigensystem,
     halfline_norm,
     image_method_propagate,
@@ -48,12 +49,10 @@ from zenopath.halfline import (
 )
 from zenopath import halfline
 from zenopath.halfline import (
-    _intertwine_propagate,
     _line_pdx_parts,
     _linear_scan,
     _phase_table,
     _propagate_half_samples,
-    _wall_probe,
 )
 from zenopath.qcore import DomainError, simpson_weights
 
@@ -469,7 +468,8 @@ class TestIntertwinedRoute:
             s = HalfLineSystem(L=40.0, n=1024, beta=beta)
             w = half_packet(s, 8.0, -1.0, 2.0)
             fwd = restricted_propagate(w, s, 3.0, method="intertwine")
-            back = _intertwine_propagate(fwd.samples, s, -3.0)
+            phase = np.exp(-1j * s.full_grid().k ** 2 * -3.0 / 2)
+            back = half_spectrum(fwd.samples, s).at(phase, -3.0)
             assert np.max(np.abs(back - w.samples)) <= 1e-12, beta
 
     def test_bound_state_overlap_keeps_its_modulus(self):
@@ -502,7 +502,7 @@ class TestIntertwinedRoute:
             s = HalfLineSystem(L=40.0, n=1024, beta=beta)
             w = half_packet(s, 5.0, -1.5, 1.2, pin_wall=s.is_dirichlet)
             k = s.full_grid().k
-            coef, null = _wall_probe(w.samples, s)
+            coef, null = half_spectrum(w.samples, s).wall_probe()
             phase = 1.0 if s.is_neumann or beta >= 0 \
                 else np.exp(1j * s_nodes / (2 * beta ** 2))
             a, b = (coef @ np.exp(-0.5j * np.outer(k ** 2, s_nodes))
@@ -686,7 +686,7 @@ def per_rung_line_split(psi, s, t, n_quad):
     disp = np.exp(-0.5j * np.outer(u ** 2, k ** 2))
     mu = k ** 2 / 2
     tail = np.exp(-1j * mu * t)
-    coef, null = _wall_probe(psi.samples[n:], s)
+    coef, null = half_spectrum(psi.samples[n:], s).wall_probe()
     phase = 1.0 if s.is_neumann or s.beta >= 0 \
         else np.exp(1j * (t - u ** 2) / (2 * s.beta ** 2))
     a, b = (np.conj(np.conj(tail * coef) @ disp.T)
@@ -729,27 +729,36 @@ class TestLinePdxLadder:
     @pytest.mark.parametrize("ladder, tables", [([100, 200, 400], 1),
                                                 ([100, 150, 400], 2)])
     def test_shared_work_per_ladder(self, monkeypatch, ladder, tables):
-        s = HalfLineSystem(L=40.0, n=1024, beta=NEUMANN)
-        psi = right_packet(s, 6.0, -1.0, 1.0)
-        calls = {"evolve": 0, "restricted": 0, "table": 0}
+        calls = {"evolve": 0, "spectrum": 0, "to_dirichlet": 0, "table": 0}
 
-        def counting(name, fn, of_psi=False):
+        def counting(name, fn, of_psi=None):
             def wrapped(*args, **kwargs):
-                if not of_psi or args[0] is psi:
+                if of_psi is None or args[0] is of_psi:
                     calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapped
 
-        # U(t)ψ counts only the calls on ψ itself: the image route evolves
-        # its own extension through the same function
-        monkeypatch.setattr(halfline, "spectral_evolve_line",
-                            counting("evolve", spectral_evolve_line, True))
-        monkeypatch.setattr(halfline, "restricted_propagate",
-                            counting("restricted", restricted_propagate))
+        monkeypatch.setattr(halfline, "half_spectrum",
+                            counting("spectrum", half_spectrum))
+        monkeypatch.setattr(halfline, "_to_dirichlet",
+                            counting("to_dirichlet", halfline._to_dirichlet))
         monkeypatch.setattr(halfline, "_quadrature_rows",
                             counting("table", halfline._quadrature_rows))
-        line_pdx_ladder(psi, s, 1.5, ladder)
-        assert calls == {"evolve": 1, "restricted": 1, "table": tables}
+        for beta in (NEUMANN, 0.0, 0.7, -0.7):
+            s = HalfLineSystem(L=40.0, n=1024, beta=beta)
+            psi = right_packet(s, 6.0, -1.0, 1.0)
+            # U(t)ψ counts only the calls on ψ itself
+            monkeypatch.setattr(halfline, "spectral_evolve_line",
+                                counting("evolve", spectral_evolve_line, psi))
+            for name in calls:
+                calls[name] = 0
+            line_pdx_ladder(psi, s, 1.5, ladder)
+            # one spectrum serves U_r^β(t)ψ and the wall probe, so a finite
+            # β forms D_h ψ once
+            assert calls == {"evolve": 1, "spectrum": 1,
+                             "to_dirichlet": 0 if s.is_neumann
+                             or s.is_dirichlet else 1,
+                             "table": tables}, beta
 
     def test_whole_ladder_checked_first(self, monkeypatch):
         s = HalfLineSystem(L=40.0, n=512, beta=0.0)

@@ -10,11 +10,15 @@ Oracles used here:
     for every state, consistent or not
   * semigroup law of the decoupled evolution: composing two direct-sum
     steps equals one step of the summed duration
+  * a test-side direct sum and class split, each half line through
+    `restricted_propagate`, as the per-row oracle of `history_sweep`
   * a packet launched across x = 0 interferes strongly, so the pair of
     histories must fail the consistency gate by a wide margin
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,16 +35,11 @@ from zenopath.halfline import (
 )
 from zenopath.histories import (
     BetaScanRow,
-    ClassSplit,
     ConsistencyVerdict,
     HistoryPair,
     beta_condition_scan,
     boundary_condition_residuals,
-    class_amplitudes,
     consistency_verdict,
-    decoherence_line,
-    direct_sum_evolve,
-    history_row,
     history_sweep,
     mirror_beta,
     reflection_safe_horizon,
@@ -63,6 +62,36 @@ def random_parity_state(rng, grid, sign, n_terms=3):
                         + 1j * p0 * (grid.x - x0))
     idx = (-np.arange(grid.n)) % grid.n
     return WaveFunction(grid, s + sign * s[idx]).normalized()
+
+
+def oracle_direct_sum(psi, beta, t):
+    """[U_r^β(t)(θψ)] ⊕ [U_r^{β,L}(t)((1-θ)ψ)] on ψ's grid, each half line
+    through `restricted_propagate` on its production route."""
+    g = psi.grid
+    n = g.n // 2
+    right = HalfLineSystem(L=g.x_max, n=n, beta=beta)
+    left = HalfLineSystem(L=g.x_max, n=n, beta=mirror_beta(beta))
+    s = psi.samples
+    h_left = np.concatenate([s[n:n + 1], s[1:n][::-1]])
+    outs = [restricted_propagate(WaveFunction(sys.half_grid(), h), sys, t,
+                                 method=production_route(sys)).samples
+            for sys, h in ((right, s[n:].copy()), (left, h_left))]
+    summed = np.zeros(g.n, dtype=complex)
+    summed[n:] = outs[0]
+    summed[1:n] = outs[1][1:][::-1]
+    return WaveFunction(g, summed)
+
+
+def oracle_classes(psi, beta, t):
+    """C₂ψ = ψ - C₁ψ, with C₁ψ = U(-t)·[direct sum] by
+    `spectral_evolve_line`, and d(i,j) = ⟨C_jψ|C_iψ⟩ in the order
+    (stay, cross)."""
+    c1 = spectral_evolve_line(oracle_direct_sum(psi, beta, t), -t)
+    c2 = WaveFunction(psi.grid, psi.samples - c1.samples)
+    d12 = c2.inner(c1)
+    dm = DecoherenceMatrix(np.array([[c1.inner(c1), d12],
+                                     [np.conj(d12), c2.inner(c2)]]))
+    return c2, dm
 
 
 class TestHistoryPair:
@@ -126,56 +155,53 @@ class TestConsistencyVerdict:
 
 class TestClassAmplitudes:
     def test_completeness_is_exact(self):
+        # C₁ + C₂ = 1 by construction, which makes the sum rule exact
         rng = np.random.default_rng(11)
         psi = random_parity_state(rng, GRID, -1.0)
-        split = class_amplitudes(psi, HistoryPair(t=1.8, beta=0.7))
-        gap = np.max(np.abs(split.c1.samples + split.c2.samples - psi.samples))
-        assert gap <= 1e-12
+        v = history_sweep(psi, 0.7, [1.8])[0].verdict
+        assert v.sum_rule_residual() <= 1e-12
+        _, dm = oracle_classes(psi, 0.7, 1.8)
+        assert v == ConsistencyVerdict.from_matrix(dm, 1e-3)
 
     def test_needs_symmetric_grid(self):
         g = SpatialGrid(-10.0, 30.0, 1024)
         psi = gaussian_packet(g, 5.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="symmetric"):
-            class_amplitudes(psi, HistoryPair(t=1.0, beta=0.0))
+            consistency_verdict(psi, HistoryPair(t=1.0, beta=0.0))
 
     def test_grid_warning_for_underresolved_cut(self):
         coarse = SpatialGrid(-20.0, 20.0, 512)
         skew = gaussian_packet(coarse, 2.0, 0.0, 0.5)
-        assert class_amplitudes(skew, HistoryPair(t=0.5, beta=0.0)).grid_warning
+        assert history_sweep(skew, 0.0, [0.5])[0].grid_warning
 
     def test_no_warning_for_resolved_state(self):
         psi = gaussian_packet(GRID, -5.0, 2.0, 1.0)
-        assert not class_amplitudes(psi, HistoryPair(t=0.5, beta=0.0)).grid_warning
-
-    def test_split_is_named_tuple(self):
-        rng = np.random.default_rng(3)
-        psi = random_parity_state(rng, GRID, -1.0)
-        split = class_amplitudes(psi, HistoryPair(t=0.3, beta=0.0))
-        assert isinstance(split, ClassSplit)
-        c1, c2, warn = split
-        assert c1 is split.c1 and c2 is split.c2 and warn is split.grid_warning
+        assert not history_sweep(psi, 0.0, [0.5])[0].grid_warning
 
 
 class TestDirectSumEvolve:
+    """The direct sum the sweep reads (equal to it bitwise, see
+    TestHistoryRow), built here from `restricted_propagate`."""
+
     def test_zero_time_is_identity_off_the_far_node(self):
         psi = gaussian_packet(GRID, 4.0, -1.0, 1.2)
-        out = direct_sum_evolve(psi, HistoryPair(t=0.0, beta=0.7))
+        out = oracle_direct_sum(psi, 0.7, 0.0)
         assert np.max(np.abs(out.samples[1:] - psi.samples[1:])) <= 1e-10
         assert out.samples[0] == 0.0
 
     def test_semigroup_composition_hard_wall(self):
         rng = np.random.default_rng(5)
         psi = random_parity_state(rng, GRID, -1.0)
-        one = direct_sum_evolve(psi, HistoryPair(t=2.1, beta=0.0))
-        half = direct_sum_evolve(psi, HistoryPair(t=0.8, beta=0.0))
-        two = direct_sum_evolve(half, HistoryPair(t=1.3, beta=0.0))
+        one = oracle_direct_sum(psi, 0.0, 2.1)
+        half = oracle_direct_sum(psi, 0.0, 0.8)
+        two = oracle_direct_sum(half, 0.0, 1.3)
         assert np.max(np.abs(one.samples - two.samples)) <= 1e-10
 
     def test_norm_preserved_at_hard_wall(self):
         # Dirichlet halves pin the shared node to zero, so reassembly loses
         # nothing and the summed evolution stays unitary to grid precision.
         psi = gaussian_packet(GRID, -5.0, 2.0, 1.0)
-        out = direct_sum_evolve(psi, HistoryPair(t=2.5, beta=0.0))
+        out = oracle_direct_sum(psi, 0.0, 2.5)
         assert abs(out.norm() - 1.0) <= 1e-6
 
     def test_norm_drift_at_finite_beta_is_small(self):
@@ -183,7 +209,7 @@ class TestDirectSumEvolve:
         # single-valued grid row cannot carry both one-sided wall values, so
         # the reassembled norm picks up an O(Δx) weighting error.
         psi = gaussian_packet(GRID, 4.0, -1.0, 1.2)
-        out = direct_sum_evolve(psi, HistoryPair(t=1.5, beta=-1.3))
+        out = oracle_direct_sum(psi, -1.3, 1.5)
         assert abs(out.norm() - 1.0) <= 0.02
 
 
@@ -203,7 +229,10 @@ class TestSumRule:
 
     def test_matrix_is_hermitian_with_unit_total(self):
         psi = gaussian_packet(GRID, -5.0, 2.0, 1.0)
-        dm = decoherence_line(psi, HistoryPair(t=2.5, beta=0.0))
+        pair = HistoryPair(t=2.5, beta=0.0)
+        _, dm = oracle_classes(psi, pair.beta, pair.t)
+        assert consistency_verdict(psi, pair) \
+            == ConsistencyVerdict.from_matrix(dm, 1e-3)
         assert dm.is_hermitian(1e-12)
         assert dm.d11 >= 0.0 and dm.d22 >= 0.0
         assert dm.total() == pytest.approx(1.0, abs=1e-12)
@@ -211,8 +240,8 @@ class TestSumRule:
     def test_stay_probability_is_unit_at_hard_wall(self):
         # U_r ⊕ U_r is an isometry on the split state, so d(1,1) = ‖ψ‖².
         psi = gaussian_packet(GRID, -5.0, 2.0, 1.0)
-        dm = decoherence_line(psi, HistoryPair(t=2.5, beta=0.0))
-        assert abs(dm.d11 - 1.0) <= 1e-6
+        v = consistency_verdict(psi, HistoryPair(t=2.5, beta=0.0))
+        assert abs(v.p_same - 1.0) <= 1e-6
 
     def test_global_phase_invariance(self):
         psi = gaussian_packet(GRID, -5.0, 2.0, 1.0)
@@ -240,9 +269,9 @@ class TestParityTheorems:
             assert horizon > 0.5
             t = min(0.5 + 0.9 * horizon * k / 19, horizon)
             pair = HistoryPair(t=t, beta=0.0)
-            split = class_amplitudes(psi, pair)
+            c2, _ = oracle_classes(psi, pair.beta, pair.t)
             v = consistency_verdict(psi, pair)
-            assert split.c2.norm() <= 1e-9
+            assert c2.norm() <= 1e-9
             assert abs(v.re_d12) <= 1e-10
             assert v.p_same >= 1.0 - 1e-6
             assert v.consistent
@@ -254,11 +283,11 @@ class TestParityTheorems:
             horizon = reflection_safe_horizon(psi)
             t = min(0.5 + 0.9 * horizon * k / 19, horizon)
             pair = HistoryPair(t=t, beta=NEUMANN)
-            split = class_amplitudes(psi, pair)
+            c2, _ = oracle_classes(psi, pair.beta, pair.t)
             v = consistency_verdict(psi, pair)
             # the x = -L node has no mirror partner; an even state carries a
             # genuine (tiny) tail there, so this route is not machine exact
-            assert split.c2.norm() <= 1e-5
+            assert c2.norm() <= 1e-5
             assert abs(v.re_d12) <= 1e-10
             assert v.p_same >= 1.0 - 1e-6
             assert v.consistent
@@ -294,26 +323,14 @@ def oracle_row(psi, beta, t, tol=1e-3):
     by `spectral_evolve_line`, every phase built from its own grid."""
     g = psi.grid
     n = g.n // 2
-    right = HalfLineSystem(L=g.x_max, n=n, beta=beta)
-    left = HalfLineSystem(L=g.x_max, n=n, beta=mirror_beta(beta))
     s = psi.samples
-    h_left = np.concatenate([s[n:n + 1], s[1:n][::-1]])
-    outs = [restricted_propagate(WaveFunction(sys.half_grid(), h), sys, t,
-                                 method=production_route(sys)).samples
-            for sys, h in ((right, s[n:].copy()), (left, h_left))]
-    summed = np.zeros(g.n, dtype=complex)
-    summed[n:] = outs[0]
-    summed[1:n] = outs[1][1:][::-1]
-    c1 = spectral_evolve_line(WaveFunction(g, summed), -t)
-    c2 = WaveFunction(g, s - c1.samples)
-    d12 = c2.inner(c1)
-    dm = DecoherenceMatrix(np.array([[c1.inner(c1), d12],
-                                     [np.conj(d12), c2.inner(c2)]]))
+    _, dm = oracle_classes(psi, beta, t)
     evolved = spectral_evolve_line(psi, t)
     rp, rm = boundary_condition_residuals(evolved, beta)
     lo, hi = abs(s[n - 1]), abs(s[n + 1])
     ref = max(lo, hi)
     dpsi = (evolved.samples[n + 1] - evolved.samples[n - 1]) / (2 * g.dx)
+    summed = oracle_direct_sum(psi, beta, t).samples
     return BetaScanRow(
         beta=beta, t=t, verdict=ConsistencyVerdict.from_matrix(dm, tol),
         r_plus=rp, r_minus=rm,
@@ -325,20 +342,20 @@ def oracle_row(psi, beta, t, tol=1e-3):
 
 class TestHistoryRow:
     def test_cli_sweep_runs_one_direct_sum_per_row(self, monkeypatch):
-        from zenopath import cli, histories
-        calls = {name: [] for name in
-                 ("_image_extension", "_to_dirichlet", "_direct_sum")}
+        from zenopath import cli, halfline, histories
+        calls = {"half_spectrum": [], "_to_dirichlet": [], "_direct_sum": []}
 
-        def counted(name):
-            real = getattr(histories, name)
+        def counted(module, name):
+            real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name].append(args[2] if name == "_direct_sum" else 1)
                 return real(*args, **kwargs)
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(histories, name, counted(name))
+        counted(histories, "half_spectrum")
+        counted(halfline, "_to_dirichlet")
+        counted(histories, "_direct_sum")
         for beta, n_t in ((0.0, 3), (0.0, 5), (0.7, 3), (0.7, 5)):
             for seen in calls.values():
                 seen.clear()
@@ -348,10 +365,10 @@ class TestHistoryRow:
             t_values = list(np.linspace(float(p["t_min"]), float(p["t_max"]),
                                         n_t))
             assert [row[0] for row in table.rows] == t_values
-            # one direct sum per row, in t order; one image extension (and,
-            # at finite β, one D_h) per half line per sweep, whatever n_t is
+            # one direct sum per row, in t order; one half spectrum (and, at
+            # finite β, one D_h) per half line per sweep, whatever n_t is
             assert calls["_direct_sum"] == t_values
-            assert len(calls["_image_extension"]) == 2
+            assert len(calls["half_spectrum"]) == 2
             assert len(calls["_to_dirichlet"]) == (0 if beta == 0.0 else 2)
 
     @pytest.mark.parametrize("parity", [None, "odd", "even"])
@@ -394,12 +411,12 @@ class TestHistoryRow:
         pair = HistoryPair(t=1.5, beta=beta)
         scan = beta_condition_scan(robin_state_builder(), [beta], [1.5],
                                    grid=GRID, tol=1e-3)
-        row = history_row(psi, pair, tol=1e-3)
+        row = history_sweep(psi, beta, [pair.t], tol=1e-3)[0]
         # verdict, distance, residuals and flux: every field identical
         assert scan == [row]
         assert row.verdict == consistency_verdict(psi, pair, tol=1e-3)
         dist = np.max(np.abs(spectral_evolve_line(psi, 1.5).samples
-                             - direct_sum_evolve(psi, pair).samples))
+                             - oracle_direct_sum(psi, beta, 1.5).samples))
         assert row.directsum_distance == dist
 
 
@@ -486,3 +503,15 @@ class TestRobinStateBuilder:
         psi = robin_state_builder()(NEUMANN, GRID)
         idx = (-np.arange(GRID.n)) % GRID.n
         assert np.max(np.abs(psi.samples - psi.samples[idx])) <= 1e-12
+
+
+def test_histories_imports_no_private_halfline_name():
+    # the direct sum reads halfline through its public half_spectrum only
+    from zenopath import histories
+    tree = ast.parse(Path(histories.__file__).read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").endswith("halfline")
+             for alias in node.names]
+    assert "half_spectrum" in names
+    assert [name for name in names if name.startswith("_")] == []
