@@ -12,9 +12,9 @@ the free Hamiltonian, so U_r^β(t) = D⁻¹ U_r^0(t) D, with the bound state
 exp(x/β) (β < 0), which D annihilates, carried by its own phase.  These two
 routes are the production ones (`production_route`), and both are one
 transform, `half_spectrum`: the FFT of the image extension (of ψ, or of
-g = D_h ψ), read at any phase for the evolved samples and once for the wall
-rows of the line split.  `restricted_propagate`, the line split and the
-histories direct sum all build it.  The eigendecomposition of the
+g = D_h ψ), read at any time t for the evolved samples and once for the
+wall rows of the line split.  `restricted_propagate`, the line split and
+the histories direct sum all build it.  The eigendecomposition of the
 finite-difference H_β (method="eig") stays as an independent oracle.
 
 The propagator split on the line reads, for ψ supported in x ≥ 0,
@@ -30,7 +30,8 @@ with g the free kernel.  The integrable endpoint of the convolution is
 handled by the substitution s = t - u².
 
 States are position samples only: momentum enters through the FFT
-wavenumbers of the grid (`SpatialGrid.k`), never as a second state type.
+wavenumbers of the grid (`SpatialGrid.k`), never as a second state type,
+and every free evolution reads its phase from `free_phase`.
 The free-particle momentum state of the arrival module is
 `arrival.MomentumState`.
 
@@ -176,13 +177,34 @@ def free_kernel(x, y, t: float):
     return amp * np.exp(1j * (x - y) ** 2 / (2 * t))
 
 
+def free_phase(grid: SpatialGrid, t: float) -> np.ndarray:
+    """e^{-iħk²t/2m} on `SpatialGrid.k`, the one free phase on a grid:
+    np.exp over modes 0..n//2, mirrored (fftfreq gives k[n-j] = -k[j]
+    exactly), so byte for byte the full-grid np.exp.  Read-only, cached
+    per (grid, float(t)) for the two most recent keys, 16n bytes each."""
+    return _free_phase(grid, float(t))
+
+
+@lru_cache(maxsize=2)
+def _free_phase(grid: SpatialGrid, t: float) -> np.ndarray:
+    m = grid.n // 2 + 1
+    phase = np.empty(grid.n, dtype=complex)
+    phase[:m] = np.exp(-1j * grid.k[:m] ** 2 * t / 2)
+    phase[m:] = phase[1:grid.n - m + 1][::-1]
+    phase.flags.writeable = False
+    return phase
+
+
+free_phase.cache_info = _free_phase.cache_info
+free_phase.cache_clear = _free_phase.cache_clear
+
+
 def spectral_evolve_line(psi: WaveFunction, t: float) -> WaveFunction:
-    """Free evolution by phase e^{-ip²t/2mħ}; exact dispersion on the grid,
-    valid for either sign of t."""
+    """Free evolution by phase e^{-ip²t/2mħ} (`free_phase`); exact
+    dispersion on the grid, valid for either sign of t."""
     _check_time(t)
-    g = psi.grid
-    spec = np.fft.fft(psi.samples) * np.exp(-1j * g.k ** 2 * t / 2)
-    return WaveFunction(g, np.fft.ifft(spec))
+    spec = np.fft.fft(psi.samples) * free_phase(psi.grid, t)
+    return WaveFunction(psi.grid, np.fft.ifft(spec))
 
 
 def phq_nonzero_check(psi: WaveFunction) -> float:
@@ -354,9 +376,8 @@ def image_method_propagate(psi_half: WaveFunction, sys: HalfLineSystem,
     if production_route(sys) != "images":
         raise ValueError("image method exists only for beta = 0 or NEUMANN")
     _check_time(t)
-    phase = np.exp(-1j * sys.full_grid().k ** 2 * t / 2)
     return WaveFunction(sys.half_grid(),
-                        half_spectrum(psi_half.samples, sys).at(phase, t))
+                        half_spectrum(psi_half.samples, sys).at(t))
 
 
 def _linear_scan(u: np.ndarray, c: float) -> np.ndarray:
@@ -474,17 +495,18 @@ class HalfSpectrum:
     spec is the FFT of an image extension on sys.full_grid(): of the state
     itself at the parity walls, and of g = D_h ψ (odd, the hard wall) at
     every finite β ≠ 0, where g is kept for its wall null mode g_0, which
-    evolves outside the image route.
+    evolves outside the image route.  Consumers hand `at` a time only.
     """
 
     sys: HalfLineSystem
     spec: np.ndarray
     g: np.ndarray | None
 
-    def at(self, phase: np.ndarray, t: float) -> np.ndarray:
-        """U_r^β(t)ψ on [0, L] for either sign of t, from the phase
-        e^{-iħk²t/2m} on the wavenumbers of sys.full_grid()."""
-        h = np.fft.ifft(self.spec * phase)[self.sys.n:]
+    def at(self, t: float) -> np.ndarray:
+        """U_r^β(t)ψ on [0, L] for either sign of t, through
+        `free_phase` of sys.full_grid()."""
+        h = np.fft.ifft(self.spec * free_phase(self.sys.full_grid(), t))
+        h = h[self.sys.n:]
         if self.g is not None:
             h[0] = self.g[0] * _null_phase(self.sys, t)
             h = _from_dirichlet(h, self.sys)
@@ -552,8 +574,7 @@ def restricted_propagate(psi_half: WaveFunction, sys: HalfLineSystem, t: float,
         if sys.is_dirichlet or sys.is_neumann:
             raise ValueError("intertwine needs a finite beta != 0; "
                              "the parity walls take method='images'")
-        phase = np.exp(-1j * sys.full_grid().k ** 2 * t / 2)
-        out = half_spectrum(psi_half.samples, sys).at(phase, t)
+        out = half_spectrum(psi_half.samples, sys).at(t)
     elif method == "eig":
         out = _propagate_half_samples(psi_half.samples, sys, t)
     else:
@@ -597,7 +618,7 @@ def grid_zeno_product(psi: WaveFunction, sys: HalfLineSystem, t: float,
     if psi.grid != sys.full_grid():
         raise ValueError("state grid does not match the full-line system grid")
     g = psi.grid
-    phase = np.exp(-1j * g.k ** 2 * (t / n) / 2)
+    phase = free_phase(g, t / n)
     cur = psi.samples.copy()
     cur[:sys.n] = 0.0
     for _ in range(n):
@@ -684,7 +705,7 @@ def _line_pdx_parts(psi: WaveFunction, sys: HalfLineSystem, t: float,
     k = g.k
     k_nyq = np.pi / dx
     mu = k ** 2 / 2
-    tail = np.exp(-1j * mu * t)
+    tail = free_phase(g, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(mu > 0, 1.0 / np.where(mu > 0, mu, 1.0), 0.0)
 
@@ -705,7 +726,7 @@ def _line_pdx_parts(psi: WaveFunction, sys: HalfLineSystem, t: float,
 
     evolved = spectral_evolve_line(psi, t).samples
     restricted = np.zeros(g.n, dtype=complex)
-    restricted[n:] = spectrum.at(tail, t)      # tail is e^{-iħk²t/2m}
+    restricted[n:] = spectrum.at(t)
 
     # Finest rung first: a rung whose θ nodes are every N/n_quad-th node of
     # a built rung N reads N's rows; any other rung builds its own.

@@ -27,11 +27,12 @@ extrapolating.
 
 Both half lines evolve through `halfline.half_spectrum`, the one image
 transform every half-line evolution reads: the parity walls extend the
-state itself, every other wall the intertwined state g = D_h ψ.  A sweep
-over durations (`history_sweep`) transforms ψ and the two half lines once;
-each row then builds one phase e^{-ik²t/2}, which evolves ψ and both half
-lines to t, and whose conjugate takes the reassembled direct sum back by
-U(-t).  `consistency_verdict` is the sweep's one-duration case.
+state itself, every other wall the intertwined state g = D_h ψ.  Every
+free phase e^{-ik²t/2} is `halfline.free_phase`.  A sweep over durations
+(`history_sweep`) transforms ψ and the two half lines once; each row then
+reads the phase at t, which evolves ψ and (through `HalfSpectrum.at`)
+both half lines to t, and whose conjugate takes the reassembled direct sum
+back by U(-t).  `consistency_verdict` is the sweep's one-duration case.
 
 States are position samples (`halfline.WaveFunction`) on a grid symmetric
 about x = 0.  The numerical choices are fixed module constants: the
@@ -55,9 +56,10 @@ from .halfline import (
     HalfLineSystem,
     SpatialGrid,
     WaveFunction,
+    free_phase,
     half_spectrum,
 )
-from .qcore import DecoherenceMatrix, _check_time
+from .qcore import DecoherenceMatrix, _check_time, _check_tol
 
 _HORIZON_MARGIN = 2.0     # distance kept from the grid edges by the horizon
 _HORIZON_TAIL = 1e-6      # mass quantile at which support and bandwidth are read
@@ -135,14 +137,14 @@ def _half_spectra(psi: WaveFunction, right: HalfLineSystem,
     return [half_spectrum(s[n:], right), half_spectrum(h_left, left)]
 
 
-def _direct_sum(halves: list, phase: np.ndarray, t: float) -> np.ndarray:
+def _direct_sum(halves: list, t: float) -> np.ndarray:
     """[U_r^β(t)(θψ)] ⊕ [U_r^{β,L}(t)((1-θ)ψ)] on the full grid, from
-    `_half_spectra` and the phase e^{-ik²t/2} of the half lines' grid.
+    `_half_spectra`, each half read at t (`HalfSpectrum.at`).
 
     The x = -L node has no mirror partner inside the half grid and is set to
     zero; states in the supported regime carry no weight there.
     """
-    right, left = (half.at(phase, t) for half in halves)
+    right, left = (half.at(t) for half in halves)
     n = right.size
     out = np.zeros(2 * n, dtype=complex)
     out[n:] = right
@@ -263,28 +265,25 @@ def history_sweep(psi: WaveFunction, beta: float | str, t_list,
                   tol: float = 1e-3) -> list[BetaScanRow]:
     """The (β, t) rows of one state, in t_list order.
 
-    ψ and its two half lines (one `half_spectrum` each) are transformed
-    once per sweep, and the grid warning, which reads ψ alone, is taken
-    once.  Each row builds one phase e^{-ik²t/2}: it evolves ψ to U(t)ψ
-    (distance to the direct sum, wall residuals, flux through x = 0) and
-    both half lines, and its conjugate takes the direct sum back to C₁ψ
-    (verdict).  The half lines share ψ's phase only when their
-    grid has exactly ψ's wavenumbers; a grid symmetric only to rounding
-    gives them their own.
+    tol is checked before any work.  ψ and its two half lines (one
+    `half_spectrum` each) are transformed once per sweep, and the grid
+    warning, which reads ψ alone, is taken once.  Each row reads one
+    `free_phase` e^{-ik²t/2} of ψ's grid: it evolves ψ to U(t)ψ (distance
+    to the direct sum, wall residuals, flux through x = 0), and its
+    conjugate takes the direct sum back to C₁ψ (verdict).  The half lines
+    read the same cached array through `HalfSpectrum.at` when their grid
+    is exactly ψ's; a grid symmetric only to rounding builds its own.
     """
+    _check_tol(tol)
     g, right, left = _split_context(psi, beta)
     halves = _half_spectra(psi, right, left)
-    k_half = right.full_grid().k
-    k2 = g.k ** 2
-    k2_half = k2 if np.array_equal(k_half, g.k) else k_half ** 2
     spec = np.fft.fft(psi.samples)
     warning = _grid_warning(psi)
     rows = []
     for t in t_list:
         t = HistoryPair(t=float(t), beta=beta).t      # the pair's t check
-        phase = np.exp(-1j * k2 * t / 2)
-        half_phase = phase if k2_half is k2 else np.exp(-1j * k2_half * t / 2)
-        summed = _direct_sum(halves, half_phase, t)
+        phase = free_phase(g, t)
+        summed = _direct_sum(halves, t)
         c1 = np.fft.ifft(np.fft.fft(summed) * np.conj(phase))
         evolved = WaveFunction(g, np.fft.ifft(spec * phase))
         rp, rm = boundary_condition_residuals(evolved, beta)
@@ -310,7 +309,9 @@ def beta_condition_scan(builder: Callable[[float | str, SpatialGrid], WaveFuncti
     spectral derivative, which is exact for smooth band-limited states)
     mark the row rejected.  Each accepted β is one `history_sweep` over
     t_list; output is sorted by (β, t) with the reflecting wall last.
+    tol is checked before any state is built.
     """
+    _check_tol(tol)
     if grid is None:
         grid = SpatialGrid(-40.0, 40.0, 4096)
     rows = []

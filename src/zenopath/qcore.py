@@ -47,6 +47,12 @@ def _check_time(t: float, nonnegative: bool = False) -> None:
         raise ValueError(f"t must be finite{bound}, got {t}")
 
 
+def _check_tol(tol: float) -> None:
+    """The one rule for consistency tolerances: finite and >= 0."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 class Operator:
     """Dense complex square matrix with the predicates used across the package."""
 
@@ -173,8 +179,7 @@ class DecoherenceMatrix:
 
     def is_consistent(self, rel_tol: float = 1e-6) -> bool:
         """Interference is negligible against the branch probabilities."""
-        if not (np.isfinite(rel_tol) and rel_tol >= 0):
-            raise ValueError(f"tol must be finite and >= 0, got {rel_tol}")
+        _check_tol(rel_tol)
         scale = max(self.d11, self.d22, 1e-30)
         return abs(self.d12.real) <= rel_tol * scale
 

@@ -16,6 +16,8 @@ Oracles used here:
   * a per-rung line split with the full 2n-column phase table as the
     oracle for the one-pass ladder (half spectrum, strided nested rungs),
     and the direct cos/sin build as the reference for the cached phase table
+  * the direct np.exp(-1j·k²·t/2) over all modes as the byte-for-byte
+    reference for `free_phase`
 """
 
 from dataclasses import replace
@@ -32,6 +34,7 @@ from zenopath.halfline import (
     WaveFunction,
     build_halfline_hamiltonian,
     free_kernel,
+    free_phase,
     gaussian_packet,
     grid_zeno_product,
     half_spectrum,
@@ -205,6 +208,46 @@ class TestFreeKernel:
         for (t1, t2, x, y) in [(1.0, 1.0, 0.3, -0.2), (0.7, 1.4, 1.0, 2.0)]:
             val = np.sum(free_kernel(x, xi, t1) * free_kernel(xi, y, t2) * taper) * g.dx
             assert abs(val - free_kernel(x, y, t1 + t2)) < 1e-5
+
+
+class TestFreePhase:
+    """`free_phase` is the direct exponential byte for byte, read-only and
+    cached per (grid, float(t))."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        free_phase.cache_clear()
+        yield
+        free_phase.cache_clear()
+
+    @pytest.mark.parametrize("t", [0.0, -3.0, 12.0])
+    @pytest.mark.parametrize("L", [12.5, 80.0])
+    @pytest.mark.parametrize("n", [8, 9, 1023, 4096])
+    def test_bytes_of_the_direct_exponential(self, n, L, t):
+        grid = SpatialGrid(-L, L, n)
+        direct = np.exp(-1j * grid.k ** 2 * t / 2)
+        assert free_phase(grid, t).tobytes() == direct.tobytes()
+
+    def test_read_only_and_cached(self):
+        grid = SpatialGrid(-40.0, 40.0, 256)
+        phase = free_phase(grid, 1.5)
+        assert not phase.flags.writeable
+        with pytest.raises(ValueError):
+            phase[0] = 0.0
+        assert free_phase(grid, 1.5) is phase
+        assert free_phase(SpatialGrid(-40.0, 40.0, 256), np.float64(1.5)) is phase
+        info = free_phase.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 2, 2)
+
+    def test_spectral_evolve_line_takes_numpy_times(self):
+        g = SpatialGrid(-30.0, 30.0, 512)
+        w = gaussian_packet(g, 2.0, -1.0, 1.5)
+        for t in (2.5, np.float64(2.5), np.array(2.5)):
+            free_phase.cache_clear()
+            direct = np.fft.ifft(np.fft.fft(w.samples)
+                                 * np.exp(-1j * g.k ** 2 * t / 2))
+            assert spectral_evolve_line(w, t).samples.tobytes() \
+                == direct.tobytes(), type(t)
 
 
 class TestSpectralEvolve:
@@ -468,8 +511,7 @@ class TestIntertwinedRoute:
             s = HalfLineSystem(L=40.0, n=1024, beta=beta)
             w = half_packet(s, 8.0, -1.0, 2.0)
             fwd = restricted_propagate(w, s, 3.0, method="intertwine")
-            phase = np.exp(-1j * s.full_grid().k ** 2 * -3.0 / 2)
-            back = half_spectrum(fwd.samples, s).at(phase, -3.0)
+            back = half_spectrum(fwd.samples, s).at(-3.0)
             assert np.max(np.abs(back - w.samples)) <= 1e-12, beta
 
     def test_bound_state_overlap_keeps_its_modulus(self):
@@ -759,6 +801,16 @@ class TestLinePdxLadder:
                              "to_dirichlet": 0 if s.is_neumann
                              or s.is_dirichlet else 1,
                              "table": tables}, beta
+
+    @pytest.mark.parametrize("beta", [0.0, NEUMANN, 0.7, -0.7])
+    def test_one_free_phase_per_ladder(self, beta):
+        # U(t)ψ, U_r^β(t)ψ and the crossing's e^{-iħk²t/2m} share one array
+        s = HalfLineSystem(L=40.0, n=512, beta=beta)
+        psi = right_packet(s, 6.0, -1.0, 1.0)
+        free_phase.cache_clear()
+        line_pdx_ladder(psi, s, 1.5, [100, 200])
+        assert free_phase.cache_info().misses == 1
+        free_phase.cache_clear()
 
     def test_whole_ladder_checked_first(self, monkeypatch):
         s = HalfLineSystem(L=40.0, n=512, beta=0.0)

@@ -28,6 +28,7 @@ from zenopath.halfline import (
     HalfLineSystem,
     SpatialGrid,
     WaveFunction,
+    free_phase,
     gaussian_packet,
     production_route,
     restricted_propagate,
@@ -349,7 +350,7 @@ class TestHistoryRow:
             real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name].append(args[2] if name == "_direct_sum" else 1)
+                calls[name].append(args[1] if name == "_direct_sum" else 1)
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
@@ -396,14 +397,47 @@ class TestHistoryRow:
             assert live.sum() == (0 if t == 0 else n - 1)
 
     @pytest.mark.parametrize("beta", [0.0, NEUMANN, 0.7, -1.3])
+    def test_one_free_phase_per_row(self, beta):
+        # ψ and both half lines read one cached array on an exact grid
+        psi = gaussian_packet(GRID, -5.0, 2.0, 1.0)
+        times = [0.0, 0.5, 1.25, 2.5]
+        free_phase.cache_clear()
+        history_sweep(psi, beta, times)
+        assert free_phase.cache_info().misses == len(times)
+        free_phase.cache_clear()
+
+    @pytest.mark.parametrize("beta", [0.0, NEUMANN, 0.7, -1.3])
     def test_rounding_symmetric_grid_keeps_per_half_phases(self, beta):
         grid = SpatialGrid(-40.0 - 4e-12, 40.0, 1024)
         assert grid.is_symmetric()
         assert not np.array_equal(SpatialGrid(-40.0, 40.0, 1024).k, grid.k)
         psi = gaussian_packet(grid, -5.0, 2.0, 1.0)
         times = [0.0, 1.25, 2.5]
+        free_phase.cache_clear()
         rows = history_sweep(psi, beta, times)
+        # ψ's grid and the half lines' grid each build their own phase
+        assert free_phase.cache_info().misses == 2 * len(times)
+        free_phase.cache_clear()
         assert rows == [oracle_row(psi, beta, t) for t in times]
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_bad_tol_refused_before_any_work(self, monkeypatch, tol):
+        from zenopath import histories
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before tol was checked")
+
+        monkeypatch.setattr(histories, "half_spectrum", refuse)
+        psi = gaussian_packet(GRID, -5.0, 2.0, 1.0)
+        message = "tol must be finite and >= 0"
+        with pytest.raises(ValueError, match=message):
+            history_sweep(psi, 0.0, [], tol=tol)           # no row to judge
+        with pytest.raises(ValueError, match=message):
+            history_sweep(psi, 0.0, [1.0], tol=tol)
+        # a builder that meets no wall condition rejects every row
+        with pytest.raises(ValueError, match=message):
+            beta_condition_scan(lambda beta, grid: psi, [0.7], [1.0],
+                                grid=GRID, tol=tol)
 
     @pytest.mark.parametrize("beta", [0.0, 0.7, -1.3, NEUMANN])
     def test_scan_rows_are_history_rows(self, beta):
