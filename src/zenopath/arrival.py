@@ -365,7 +365,17 @@ def arrival_moments(dist: ArrivalDistribution, order: int) -> float:
 def converged_density(state: MomentumState, t_center: float | None = None,
                       half_width: float = 5.0, dt: float = 0.02,
                       x_arrival: float = 0.0) -> ArrivalDistribution:
-    """Widen the time window about t_center until the mass stops moving.
+    """The distribution of `converged_window`, without its current."""
+    return converged_window(state, t_center, half_width, dt, x_arrival)[0]
+
+
+def converged_window(state: MomentumState, t_center: float | None = None,
+                     half_width: float = 5.0, dt: float = 0.02,
+                     x_arrival: float = 0.0
+                     ) -> tuple[ArrivalDistribution, np.ndarray]:
+    """Widen the time window about t_center until the mass stops moving;
+    returns (distribution, current), the flux on the same window from the
+    same phase sums.
 
     The windows are nested on one lattice t_center + dt·k: round r keeps
     |k| ≤ K_r = round(w_r/dt), where the half width w_r = half_width·1.6^r
@@ -375,15 +385,6 @@ def converged_density(state: MomentumState, t_center: float | None = None,
     t_center omitted it is estimated from the classical flight time
     (x_a - ⟨x⟩)·m/⟨p⟩.
     """
-    return _converged_window(state, t_center, half_width, dt, x_arrival)[0]
-
-
-def _converged_window(state: MomentumState, t_center: float | None = None,
-                      half_width: float = 5.0, dt: float = 0.02,
-                      x_arrival: float = 0.0
-                      ) -> tuple[ArrivalDistribution, np.ndarray]:
-    """`converged_density` plus the flux on the same window, from the same
-    phase sums: returns (distribution, current)."""
     for name, value in (("half_width", half_width), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")

@@ -39,8 +39,8 @@ import numpy as np
 from . import __version__
 from .arrival import (
     ConvergenceAdvisory,
-    _converged_window,
     arrival_moments,
+    converged_window,
     flux_l1_distance,
     gaussian_momentum_state,
     momentum_grid,
@@ -414,7 +414,8 @@ def cmd_pdx_verify(cfg: RunConfig) -> ResultTable:
                              f"reflection-safe horizon {horizon:.4g} of this "
                              "packet and grid; its residuals would carry FFT "
                              "wrap-around")
-        values = line_pdx_ladder(psi, system, p["t"], ladder)
+        values = [parts.residual_norm(system.dx)
+                  for parts in line_pdx_ladder(psi, system, p["t"], ladder)]
 
     rows = []
     for lvl, (nq, r) in enumerate(zip(ladder, values)):
@@ -480,9 +481,9 @@ def cmd_arrival(cfg: RunConfig) -> ResultTable:
     grid = momentum_grid(p["p_max"], p["n_p"])
     state = gaussian_momentum_state(grid, p0=p["p0"], x0=p["x0"],
                                     sigma_p=p["sigma_p"])
-    dist, current = _converged_window(state, t_center=p["t_center"],
-                                      half_width=p["half_width"], dt=p["dt"],
-                                      x_arrival=p["x_arrival"])
+    dist, current = converged_window(state, t_center=p["t_center"],
+                                     half_width=p["half_width"], dt=p["dt"],
+                                     x_arrival=p["x_arrival"])
 
     cols = ["t", "density", "right_part", "left_part", "current"]
     series = [dist.t, dist.density, dist.right_part, dist.left_part, current]

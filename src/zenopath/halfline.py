@@ -9,13 +9,14 @@ plus exact spectral evolution) and, for every finite β ≠ 0, by
 intertwining (Clark, Menikoff & Sharp, Phys. Rev. D 22, 3012 (1980)):
 D = 1 - β∂ₓ maps Robin-wall states to hard-wall states and commutes with
 the free Hamiltonian, so U_r^β(t) = D⁻¹ U_r^0(t) D, with the bound state
-exp(x/β) (β < 0), which D annihilates, carried by its own phase.  These two
-routes are the production ones (`production_route`), and both are one
-transform, `half_spectrum`: the FFT of the image extension (of ψ, or of
-g = D_h ψ), read at any time t for the evolved samples and once for the
-wall rows of the line split.  `restricted_propagate`, the line split and
-the histories direct sum all build it.  The eigendecomposition of the
-finite-difference H_β (method="eig") stays as an independent oracle.
+exp(x/β) (β < 0), which D annihilates, carried by its own phase.  β picks
+the route (`production_route`), and both routes are one transform,
+`half_spectrum`: the FFT of the image extension (of ψ, or of g = D_h ψ),
+read at any time t for the evolved samples and once for the wall rows of
+the line split.  `restricted_propagate`, the line split
+(`line_pdx_ladder`) and the histories direct sum all build it.  The
+eigendecomposition of the finite-difference H_β stays as an independent
+oracle, run only when named (method="eig").
 
 The propagator split on the line reads, for ψ supported in x ≥ 0,
 
@@ -229,8 +230,15 @@ def phq_nonzero_check(psi: WaveFunction) -> float:
 
 @dataclass(frozen=True)
 class HalfLineSystem:
-    """Half-line [0, L] with wall condition ψ(0) = βψ'(0) and a hard outer
-    wall at x = L.  States live on nodes x_j = j·dx, dx = L/n."""
+    """Half-line [0, L] with wall condition ψ(0) = βψ'(0).  States live on
+    nodes x_j = j·dx, dx = L/n.
+
+    The outer wall at x = L depends on the route.  The eig oracle and the
+    odd images (β = 0) make it hard, ψ(L) = 0.  The even images (NEUMANN)
+    make it reflecting, ψ'(L) = 0, and set the x = -L image node to 0.  The
+    intertwined route (finite β ≠ 0) evolves g = D_h ψ by the odd images,
+    so g(L) = ψ(L) - βψ'(L) = 0.  The routes agree while the state keeps
+    away from x = L."""
 
     L: float
     n: int
@@ -364,20 +372,6 @@ def _image_extension(h: np.ndarray, sys: HalfLineSystem) -> np.ndarray:
     else:
         f[1:n] = h[1:][::-1]
     return f
-
-
-def image_method_propagate(psi_half: WaveFunction, sys: HalfLineSystem,
-                           t: float) -> WaveFunction:
-    """Restricted propagation by images, either sign of t: odd (Dirichlet)
-    or even (Neumann) extension, exact spectral evolution on [-L, L),
-    restriction to x ≥ 0."""
-    if psi_half.grid != sys.half_grid():
-        raise ValueError("state grid does not match the half-line system")
-    if production_route(sys) != "images":
-        raise ValueError("image method exists only for beta = 0 or NEUMANN")
-    _check_time(t)
-    return WaveFunction(sys.half_grid(),
-                        half_spectrum(psi_half.samples, sys).at(t))
 
 
 def _linear_scan(u: np.ndarray, c: float) -> np.ndarray:
@@ -552,56 +546,31 @@ def half_spectrum(h: np.ndarray, sys: HalfLineSystem) -> HalfSpectrum:
 
 
 def restricted_propagate(psi_half: WaveFunction, sys: HalfLineSystem, t: float,
-                         method: str = "eig") -> WaveFunction:
+                         method: str | None = None) -> WaveFunction:
     """U_r^β(t) ψ = exp(-iH_β t/ħ) ψ on [0, L], forward in time (t ≥ 0).
 
-    method="eig" uses the eigendecomposition of the discrete H_β (every β;
-    O(n³) once per system, then O(n²), and it conserves the half-cell-weighted
-    norm exactly); it is kept as the oracle for the other two.
-    method="images" uses the parity extension (β = 0 and NEUMANN only).
-    method="intertwine" (finite β ≠ 0) maps ψ to the hard wall with D_h,
-    evolves by images and maps back; spectral in time, O(dx²) from D_h,
-    exactly the identity at t = 0 and exactly reversible.  Both read one
-    `half_spectrum`, whose `at` takes either sign of t, as do
-    `image_method_propagate` and the eig kernel `_propagate_half_samples`.
+    β picks the route, `production_route(sys)`: "images" (the parity
+    extension, β = 0 and NEUMANN) or "intertwine" (finite β ≠ 0: ψ mapped
+    to the hard wall with D_h, evolved by images and mapped back; spectral
+    in time, O(dx²) from D_h, exactly the identity at t = 0 and exactly
+    reversible).  Both read one `half_spectrum`, whose `at` takes either
+    sign of t.  method may name that route, or "eig", the oracle: the
+    eigendecomposition of the discrete H_β (every β; O(n³) once per
+    system, then O(n²), conserving the half-cell-weighted norm exactly).
+    Any other method is a ValueError.
     """
     _check_time(t, nonnegative=True)
     if psi_half.grid != sys.half_grid():
         raise ValueError("state grid does not match the half-line system")
-    if method == "images":
-        return image_method_propagate(psi_half, sys, t)
-    if method == "intertwine":
-        if sys.is_dirichlet or sys.is_neumann:
-            raise ValueError("intertwine needs a finite beta != 0; "
-                             "the parity walls take method='images'")
-        out = half_spectrum(psi_half.samples, sys).at(t)
-    elif method == "eig":
+    route = production_route(sys)
+    if method == "eig":
         out = _propagate_half_samples(psi_half.samples, sys, t)
+    elif method in (None, route):
+        out = half_spectrum(psi_half.samples, sys).at(t)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise ValueError(f"method must be 'eig' or this wall's route "
+                         f"{route!r}, got {method!r}")
     return WaveFunction(sys.half_grid(), out)
-
-
-def wall_flux(psi_half: WaveFunction, sys: HalfLineSystem) -> float:
-    """Probability flux (ħ/m)·Im(ψ̄ ψ')(0) with the Robin-consistent boundary
-    pair: ψ'(0) from the one-sided second-order stencil and ψ(0) = β ψ'(0).
-
-    Real β makes ψ̄(0)ψ'(0) = β|ψ'(0)|² real, so no probability leaks through
-    the wall; the returned value is the roundoff-level residual of that
-    statement.
-    """
-    a, b = _boundary_pair(psi_half.samples, sys)
-    return float((np.conj(a) * b).imag)
-
-
-def _boundary_pair(h: np.ndarray, sys: HalfLineSystem) -> tuple[complex, complex]:
-    """(value, derivative) of a half-line state at the wall, scheme-consistent."""
-    b = (-3.0 * h[0] + 4.0 * h[1] - h[2]) / (2 * sys.dx)
-    if sys.is_dirichlet:
-        return 0.0 + 0.0j, complex(b)
-    if sys.is_neumann:
-        return complex(h[0]), 0.0 + 0.0j
-    return complex(sys.beta * b), complex(b)
 
 
 def grid_zeno_product(psi: WaveFunction, sys: HalfLineSystem, t: float,
@@ -642,9 +611,11 @@ class LinePdxParts:
         return float(np.sqrt(np.sum(np.abs(r) ** 2) * dx))
 
 
-def line_pdx_terms(psi: WaveFunction, sys: HalfLineSystem, t: float,
-                   n_quad: int = 400) -> LinePdxParts:
-    """Assemble the line split for a state supported in x ≥ 0.
+def line_pdx_ladder(psi: WaveFunction, sys: HalfLineSystem, t: float,
+                    ladder: list[int]) -> list[LinePdxParts]:
+    """The line split of a state supported in x ≥ 0, for every n_quad of a
+    refinement ladder, in ladder order; each rung's residual
+    ‖U(t)ψ - [crossing + U_r^β(t)ψ]‖ is `LinePdxParts.residual_norm`.
 
     The crossing convolution is evaluated in the grid's own momentum basis,
     where each mode sees the source S(k) = ∫₀ᵗ ds e^{-iħk²(t-s)/2m}(b(s)+ik·a(s)).
@@ -658,32 +629,19 @@ def line_pdx_terms(psi: WaveFunction, sys: HalfLineSystem, t: float,
       for the jump and kink the crossing term carries at x = 0, valid
       precisely where the oscillation e^{-iħk²u²/2m} outruns any quadrature.
 
-    k_cut is the largest wavenumber the θ grid resolves (phase step
-    ≤ 0.4 rad), capped at 0.9 k_Nyquist; the parts report it.  The phase table
-    e^{-iħk²u²/2m} is built over |k| only (k² is even), and the wall values
-    a(s), b(s) at s = t - u² are read through it.  This is the one-rung
-    case of `line_pdx_ladder`.
-    """
-    return _line_pdx_parts(psi, sys, t, [n_quad])[0]
+    k_cut is the largest wavenumber a rung's θ grid resolves (phase step
+    ≤ 0.4 rad), capped at 0.9 k_Nyquist; the parts report it.  The phase
+    table e^{-iħk²u²/2m} is built over |k| only (k² is even), and the wall
+    values a(s), b(s) at s = t - u² are read through it.
 
-
-def line_pdx_ladder(psi: WaveFunction, sys: HalfLineSystem, t: float,
-                    ladder: list[int]) -> list[float]:
-    """`line_pdx_residual` for every n_quad of a refinement ladder, in one
-    pass: U(t)ψ is computed once, and U_r^β(t)ψ and the wall probe both read
-    one `half_spectrum` of ψ (one D_h ψ at finite β); a rung
-    whose θ nodes are a strided subset of a finer rung's reads that rung's
-    phase table and wall values instead of building its own.  Phase tables
-    are cached per (t, L, n, n_quad) for the two most recent keys
+    The ladder is one pass: U(t)ψ is computed once, and U_r^β(t)ψ and the
+    wall probe both read one `half_spectrum` of ψ (one D_h ψ at finite β);
+    a rung whose θ nodes are a strided subset of a finer rung's reads that
+    rung's phase table and wall values instead of building its own.  Phase
+    tables are cached per (t, L, n, n_quad) for the two most recent keys
     (`_phase_table`), so a repeated grid and ladder builds none; the wall
-    values are per call.  The whole ladder is validated before any work."""
-    return [parts.residual_norm(sys.dx)
-            for parts in _line_pdx_parts(psi, sys, t, ladder)]
-
-
-def _line_pdx_parts(psi: WaveFunction, sys: HalfLineSystem, t: float,
-                    ladder: list[int]) -> list[LinePdxParts]:
-    """The line split for each n_quad of `ladder`, in ladder order."""
+    values are per call.  The whole ladder is validated before any work.
+    """
     if not (np.isfinite(t) and t > 0):
         raise ValueError(f"t must be positive and finite, got {t}")
     ladder = list(ladder)
@@ -809,9 +767,3 @@ def _raised_cosine_window(k: np.ndarray, k_pass: float, k_stop: float) -> np.nda
     w[mask] = 0.5 * (1 + np.cos(np.pi * np.clip(ramp[mask], 0.0, 1.0)))
     w[ak >= k_stop] = 0.0
     return w
-
-
-def line_pdx_residual(psi: WaveFunction, sys: HalfLineSystem, t: float,
-                      n_quad: int = 400) -> float:
-    """‖U(t)ψ - [crossing + U_r^β(t)ψ]‖ over the full grid."""
-    return line_pdx_ladder(psi, sys, t, [n_quad])[0]

@@ -32,7 +32,8 @@ free phase e^{-ik²t/2} is `halfline.free_phase`.  A sweep over durations
 (`history_sweep`) transforms ψ and the two half lines once; each row then
 reads the phase at t, which evolves ψ and (through `HalfSpectrum.at`)
 both half lines to t, and whose conjugate takes the reassembled direct sum
-back by U(-t).  `consistency_verdict` is the sweep's one-duration case.
+back by U(-t).  The sweep is the one way to a verdict, for one duration
+or many.
 
 States are position samples (`halfline.WaveFunction`) on a grid symmetric
 about x = 0.  The numerical choices are fixed module constants: the
@@ -52,7 +53,6 @@ from typing import Callable
 import numpy as np
 
 from .halfline import (
-    NEUMANN,
     HalfLineSystem,
     SpatialGrid,
     WaveFunction,
@@ -66,19 +66,6 @@ _HORIZON_TAIL = 1e-6      # mass quantile at which support and bandwidth are rea
 # robin_state_builder's two Gaussians, (centre, momentum, width) each
 _ROBIN_FIRST = (4.0, -1.0, 1.2)
 _ROBIN_SECOND = (7.0, 0.6, 1.6)
-
-
-@dataclass(frozen=True)
-class HistoryPair:
-    """The two-member history family over duration t with wall parameter β."""
-
-    t: float
-    beta: float | str
-
-    def __post_init__(self):
-        _check_time(self.t, nonnegative=True)
-        if isinstance(self.beta, str) and self.beta != NEUMANN:
-            raise ValueError(f"string beta must be {NEUMANN!r}, got {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -171,13 +158,6 @@ def _class_matrix(psi: WaveFunction, c1: np.ndarray) -> DecoherenceMatrix:
                                        [np.conj(d12), c2.inner(c2)]]))
 
 
-def consistency_verdict(psi: WaveFunction, pair: HistoryPair,
-                        tol: float = 1e-3) -> ConsistencyVerdict:
-    """Verdict with the grid-honest relative tolerance (default 1e-3): the
-    one-duration case of `history_sweep`."""
-    return history_sweep(psi, pair.beta, [pair.t], tol)[0].verdict
-
-
 def reflection_safe_horizon(psi: WaveFunction) -> float:
     """Largest t before the state's fast tail can reach the outer grid edges.
 
@@ -263,11 +243,13 @@ def _flux_through_zero(psi: WaveFunction) -> float:
 
 def history_sweep(psi: WaveFunction, beta: float | str, t_list,
                   tol: float = 1e-3) -> list[BetaScanRow]:
-    """The (β, t) rows of one state, in t_list order.
+    """The (β, t) rows of one state, in t_list order; each verdict uses the
+    grid-honest relative tolerance tol (default 1e-3).
 
-    tol is checked before any work.  ψ and its two half lines (one
-    `half_spectrum` each) are transformed once per sweep, and the grid
-    warning, which reads ψ alone, is taken once.  Each row reads one
+    tol and every t (finite, >= 0) are checked before any work, and β by
+    `HalfLineSystem` (a string β must be NEUMANN).  ψ and its two half
+    lines (one `half_spectrum` each) are transformed once per sweep, and
+    the grid warning, which reads ψ alone, is taken once.  Each row reads one
     `free_phase` e^{-ik²t/2} of ψ's grid: it evolves ψ to U(t)ψ (distance
     to the direct sum, wall residuals, flux through x = 0), and its
     conjugate takes the direct sum back to C₁ψ (verdict).  The half lines
@@ -275,13 +257,15 @@ def history_sweep(psi: WaveFunction, beta: float | str, t_list,
     is exactly ψ's; a grid symmetric only to rounding builds its own.
     """
     _check_tol(tol)
+    times = [float(t) for t in t_list]
+    for t in times:
+        _check_time(t, nonnegative=True)
     g, right, left = _split_context(psi, beta)
     halves = _half_spectra(psi, right, left)
     spec = np.fft.fft(psi.samples)
     warning = _grid_warning(psi)
     rows = []
-    for t in t_list:
-        t = HistoryPair(t=float(t), beta=beta).t      # the pair's t check
+    for t in times:
         phase = free_phase(g, t)
         summed = _direct_sum(halves, t)
         c1 = np.fft.ifft(np.fft.fft(summed) * np.conj(phase))

@@ -51,16 +51,10 @@ from zenopath.halfline import (
     gaussian_packet,
     halfline_eigensystem,
     halfline_norm,
-    image_method_propagate,
-    line_pdx_residual,
-    line_pdx_terms,
+    line_pdx_ladder,
     restricted_propagate,
 )
-from zenopath.histories import (
-    HistoryPair,
-    consistency_verdict,
-    reflection_safe_horizon,
-)
+from zenopath.histories import history_sweep, reflection_safe_horizon
 from zenopath.qcore import (
     TwoStateSystem,
     ZenoSchedule,
@@ -171,14 +165,15 @@ def test_05_wall_propagation_against_images_and_bound_state():
     start = time.perf_counter()
     wall = HalfLineSystem(L=28.0, n=2048, beta=0.0)
     w = half_packet(wall, 10.0, -0.75, 1.45, pin_wall=True)
-    gap_wall = np.max(np.abs(restricted_propagate(w, wall, 9.0).samples
-                             - image_method_propagate(w, wall, 9.0).samples))
+    gap_wall = np.max(np.abs(
+        restricted_propagate(w, wall, 9.0, method="eig").samples
+        - restricted_propagate(w, wall, 9.0).samples))
     assert gap_wall <= 1e-4
     free_end = HalfLineSystem(L=28.0, n=2048, beta=NEUMANN)
     w = half_packet(free_end, 10.0, -0.75, 1.45)
     gap_neu = np.max(np.abs(
-        restricted_propagate(w, free_end, 9.0).samples
-        - restricted_propagate(w, free_end, 9.0, method="images").samples))
+        restricted_propagate(w, free_end, 9.0, method="eig").samples
+        - restricted_propagate(w, free_end, 9.0).samples))
     assert gap_neu <= 1e-4
     robin = HalfLineSystem(L=40.0, n=2048, beta=-1.0)
     energy = halfline_eigensystem(robin)[0][0]
@@ -192,13 +187,13 @@ def test_06_line_split_ladder_and_beta_dependence():
     start = time.perf_counter()
     wall = HalfLineSystem(L=40.0, n=2048, beta=0.0)
     psi = right_packet(wall, 6.0, -1.0, 1.0)
-    ladder = [line_pdx_residual(psi, wall, 3.0, n_quad=nq)
-              for nq in (100, 200, 400)]
+    parts = line_pdx_ladder(psi, wall, 3.0, [100, 200, 400])
+    ladder = [p.residual_norm(wall.dx) for p in parts]
     assert all(b < a for a, b in zip(ladder, ladder[1:]))
     assert ladder[-1] <= 5e-3
     free_end = HalfLineSystem(L=40.0, n=2048, beta=NEUMANN)
-    cross_wall = line_pdx_terms(psi, wall, 3.0).crossing
-    cross_neu = line_pdx_terms(psi, free_end, 3.0).crossing
+    cross_wall = parts[-1].crossing
+    cross_neu = line_pdx_ladder(psi, free_end, 3.0, [400])[0].crossing
     diff = np.sqrt(np.sum(np.abs(cross_wall - cross_neu) ** 2) * wall.dx)
     assert diff > 1e-3
     report("line split ladder",
@@ -213,21 +208,23 @@ def test_07_history_consistency_by_symmetry_sector():
     odd = gaussian_packet(grid, 6.0, -1.2, 1.1, parity="odd")
     horizon = reflection_safe_horizon(odd)
     assert horizon > 1.0
-    for t in np.linspace(0.3, horizon, 8):
-        v = consistency_verdict(odd, HistoryPair(float(t), 0.0), tol=1e-3)
+    for row in history_sweep(odd, 0.0, np.linspace(0.3, horizon, 8),
+                             tol=1e-3):
+        v = row.verdict
         assert v.p_same >= 1.0 - 1e-3
         assert abs(v.re_d12) <= 1e-4
 
     even = gaussian_packet(grid, 6.0, -1.2, 1.1, parity="even")
-    for t in np.linspace(0.3, reflection_safe_horizon(even), 8):
-        v = consistency_verdict(even, HistoryPair(float(t), NEUMANN), tol=1e-3)
+    for row in history_sweep(even, NEUMANN,
+                             np.linspace(0.3, reflection_safe_horizon(even), 8),
+                             tol=1e-3):
+        v = row.verdict
         assert v.p_same >= 1.0 - 1e-3
         assert abs(v.re_d12) <= 1e-3
 
     generic = gaussian_packet(grid, -5.0, 2.0, 1.0)
-    peak = max(abs(consistency_verdict(generic,
-                                       HistoryPair(float(t), 0.0)).re_d12)
-               for t in np.linspace(0.5, 3.0, 6))
+    peak = max(abs(row.verdict.re_d12)
+               for row in history_sweep(generic, 0.0, np.linspace(0.5, 3.0, 6)))
     assert peak > 1e-2
     report("history consistency by sector",
            f"horizon {horizon:.1f}, generic |Re d12| up to {peak:.2f}",

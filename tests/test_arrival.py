@@ -27,6 +27,7 @@ from zenopath.arrival import (
     MomentumState,
     arrival_moments,
     converged_density,
+    converged_window,
     current_density_at_origin,
     flux_l1_distance,
     gaussian_momentum_state,
@@ -36,8 +37,7 @@ from zenopath.arrival import (
     superposition_state,
 )
 from zenopath import arrival
-from zenopath.arrival import (_converged_window, _phase_apply,
-                              _phase_rows, _phase_table, _weights)
+from zenopath.arrival import _phase_apply, _phase_rows, _phase_table, _weights
 from zenopath.qcore import DomainError
 
 P_GRID = momentum_grid(8.0, 1024)
@@ -512,7 +512,7 @@ class TestPhaseKernel:
         monkeypatch.setattr(arrival, "_phase_rows", counted)
         st = gaussian_momentum_state(momentum_grid(8.0, 1024), p0=1.0,
                                      x0=-10.0, sigma_p=0.2)
-        dist, current = _converged_window(st)
+        dist, current = converged_window(st)
         monkeypatch.undo()
         return st, dist, current, tables, calls
 

@@ -15,14 +15,17 @@ Oracles
   lines back in as a config file.
 """
 
+import ast
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zenopath import cli
 from zenopath.cli import (
     NEUMANN,
     SCHEMAS,
@@ -783,14 +786,20 @@ class TestResolutionAndLayout:
         assert read_table(out)[0]["seed"] == "7"
 
     def test_finite_beta_runs_never_import_scipy(self):
-        # scipy serves only the eigensystem oracle; production stays on numpy
+        # scipy serves only the eigensystem oracle; production, a default
+        # restricted_propagate call included, stays on numpy
         code = (
-            "import sys, zenopath, zenopath.cli as cli\n"
+            "import sys, numpy as np, zenopath, zenopath.cli as cli\n"
             "cli.DISPATCH['histories'](cli.RunConfig('histories', "
             "{'beta': 0.7, 'n_t': 2, 'n_grid': 1024}))\n"
             "cli.DISPATCH['pdx-verify'](cli.RunConfig('pdx-verify', "
             "{'system': 'line', 'beta': -0.8, 'n_grid': 512, "
             "'ladder': [40]}))\n"
+            "from zenopath.halfline import HalfLineSystem, WaveFunction, "
+            "restricted_propagate\n"
+            "s = HalfLineSystem(L=40.0, n=256, beta=0.7)\n"
+            "restricted_propagate(WaveFunction(s.half_grid(), "
+            "np.exp(-(s.x - 10.0) ** 2)), s, 1.0)\n"
             "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
             "assert 'scipy' not in sys.modules, loaded\n")
         proc = subprocess.run([sys.executable, "-c", code],
@@ -840,3 +849,17 @@ class TestResolutionAndLayout:
             assert cmd in proc.stdout
         proc = run_cli("--version")
         assert proc.returncode == 0
+
+
+def test_cli_imports_no_private_name_of_a_layer():
+    # the commands reach arrival, halfline and histories through public
+    # names only
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    names = {(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module in ("arrival", "halfline", "histories")
+             for alias in node.names}
+    assert {module for module, _ in names} \
+        == {"arrival", "halfline", "histories"}
+    assert ("arrival", "converged_window") in names
+    assert sorted(name for _, name in names if name.startswith("_")) == []

@@ -37,10 +37,8 @@ from zenopath.halfline import (
 from zenopath.histories import (
     BetaScanRow,
     ConsistencyVerdict,
-    HistoryPair,
     beta_condition_scan,
     boundary_condition_residuals,
-    consistency_verdict,
     history_sweep,
     mirror_beta,
     reflection_safe_horizon,
@@ -95,20 +93,37 @@ def oracle_classes(psi, beta, t):
     return c2, dm
 
 
-class TestHistoryPair:
-    def test_defaults(self):
-        pair = HistoryPair(t=1.5, beta=0.0)
-        assert (pair.t, pair.beta) == (1.5, 0.0)
+def verdict(psi, beta, t, tol=1e-3):
+    """The verdict of one duration: a one-row `history_sweep`."""
+    return history_sweep(psi, beta, [t], tol)[0].verdict
 
-    def test_negative_duration_rejected(self):
+
+class TestHistoryPair:
+    """The pair's duration and wall, as `history_sweep` takes them."""
+
+    def test_defaults(self):
+        psi = gaussian_packet(GRID, -5.0, 2.0, 1.0)
+        row = history_sweep(psi, 0.0, [1.5])[0]
+        assert (row.t, row.beta) == (1.5, 0.0)
+        assert type(row.t) is float
+
+    def test_negative_duration_rejected(self, monkeypatch):
+        from zenopath import histories
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before t was checked")
+
+        monkeypatch.setattr(histories, "half_spectrum", refuse)
+        psi = gaussian_packet(GRID, -5.0, 2.0, 1.0)
         for t in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="t must be"):
-                HistoryPair(t=t, beta=0.0)
+                history_sweep(psi, 0.0, [1.0, t])
 
     def test_string_beta_must_be_reflecting(self):
-        HistoryPair(t=1.0, beta=NEUMANN)
+        psi = gaussian_packet(GRID, 4.0, -1.0, 1.2, parity="even")
+        history_sweep(psi, NEUMANN, [1.0])
         with pytest.raises(ValueError, match="string beta"):
-            HistoryPair(t=1.0, beta="robin")
+            history_sweep(psi, "robin", [1.0])
 
 
 class TestMirrorBeta:
@@ -168,7 +183,7 @@ class TestClassAmplitudes:
         g = SpatialGrid(-10.0, 30.0, 1024)
         psi = gaussian_packet(g, 5.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="symmetric"):
-            consistency_verdict(psi, HistoryPair(t=1.0, beta=0.0))
+            verdict(psi, 0.0, 1.0)
 
     def test_grid_warning_for_underresolved_cut(self):
         coarse = SpatialGrid(-20.0, 20.0, 512)
@@ -225,14 +240,13 @@ class TestSumRule:
         ]
         betas = [0.0, 0.7, -1.3, NEUMANN]
         for psi, beta in zip(states, betas):
-            v = consistency_verdict(psi, HistoryPair(t=1.7, beta=beta))
+            v = verdict(psi, beta, 1.7)
             assert v.sum_rule_residual() <= 1e-12, f"beta={beta}"
 
     def test_matrix_is_hermitian_with_unit_total(self):
         psi = gaussian_packet(GRID, -5.0, 2.0, 1.0)
-        pair = HistoryPair(t=2.5, beta=0.0)
-        _, dm = oracle_classes(psi, pair.beta, pair.t)
-        assert consistency_verdict(psi, pair) \
+        _, dm = oracle_classes(psi, 0.0, 2.5)
+        assert verdict(psi, 0.0, 2.5) \
             == ConsistencyVerdict.from_matrix(dm, 1e-3)
         assert dm.is_hermitian(1e-12)
         assert dm.d11 >= 0.0 and dm.d22 >= 0.0
@@ -241,15 +255,14 @@ class TestSumRule:
     def test_stay_probability_is_unit_at_hard_wall(self):
         # U_r ⊕ U_r is an isometry on the split state, so d(1,1) = ‖ψ‖².
         psi = gaussian_packet(GRID, -5.0, 2.0, 1.0)
-        v = consistency_verdict(psi, HistoryPair(t=2.5, beta=0.0))
+        v = verdict(psi, 0.0, 2.5)
         assert abs(v.p_same - 1.0) <= 1e-6
 
     def test_global_phase_invariance(self):
         psi = gaussian_packet(GRID, -5.0, 2.0, 1.0)
         rot = WaveFunction(GRID, np.exp(0.9j) * psi.samples)
-        pair = HistoryPair(t=2.5, beta=0.0)
-        a = consistency_verdict(psi, pair)
-        b = consistency_verdict(rot, pair)
+        a = verdict(psi, 0.0, 2.5)
+        b = verdict(rot, 0.0, 2.5)
         assert abs(a.re_d12 - b.re_d12) <= 1e-12
         assert abs(a.p_same - b.p_same) <= 1e-12
 
@@ -269,9 +282,8 @@ class TestParityTheorems:
             horizon = reflection_safe_horizon(psi)
             assert horizon > 0.5
             t = min(0.5 + 0.9 * horizon * k / 19, horizon)
-            pair = HistoryPair(t=t, beta=0.0)
-            c2, _ = oracle_classes(psi, pair.beta, pair.t)
-            v = consistency_verdict(psi, pair)
+            c2, _ = oracle_classes(psi, 0.0, t)
+            v = verdict(psi, 0.0, t)
             assert c2.norm() <= 1e-9
             assert abs(v.re_d12) <= 1e-10
             assert v.p_same >= 1.0 - 1e-6
@@ -283,9 +295,8 @@ class TestParityTheorems:
             psi = random_parity_state(rng, GRID, 1.0)
             horizon = reflection_safe_horizon(psi)
             t = min(0.5 + 0.9 * horizon * k / 19, horizon)
-            pair = HistoryPair(t=t, beta=NEUMANN)
-            c2, _ = oracle_classes(psi, pair.beta, pair.t)
-            v = consistency_verdict(psi, pair)
+            c2, _ = oracle_classes(psi, NEUMANN, t)
+            v = verdict(psi, NEUMANN, t)
             # the x = -L node has no mirror partner; an even state carries a
             # genuine (tiny) tail there, so this route is not machine exact
             assert c2.norm() <= 1e-5
@@ -295,14 +306,14 @@ class TestParityTheorems:
 
     def test_crossing_packet_is_inconsistent(self):
         psi = gaussian_packet(GRID, -5.0, 2.0, 1.0)
-        v = consistency_verdict(psi, HistoryPair(t=2.5, beta=0.0))
+        v = verdict(psi, 0.0, 2.5)
         assert abs(v.re_d12) > 1e-2
         assert not v.consistent
         assert v.p_cross > 0.5
 
     def test_interference_has_reported_imaginary_part(self):
         psi = gaussian_packet(GRID, -5.0, 2.0, 1.0)
-        v = consistency_verdict(psi, HistoryPair(t=2.5, beta=0.0))
+        v = verdict(psi, 0.0, 2.5)
         assert math.isfinite(v.im_d12)
         assert abs(v.im_d12) > 1e-3
 
@@ -442,13 +453,11 @@ class TestHistoryRow:
     @pytest.mark.parametrize("beta", [0.0, 0.7, -1.3, NEUMANN])
     def test_scan_rows_are_history_rows(self, beta):
         psi = robin_state_builder()(beta, GRID)
-        pair = HistoryPair(t=1.5, beta=beta)
         scan = beta_condition_scan(robin_state_builder(), [beta], [1.5],
                                    grid=GRID, tol=1e-3)
-        row = history_sweep(psi, beta, [pair.t], tol=1e-3)[0]
+        row = history_sweep(psi, beta, [1.5], tol=1e-3)[0]
         # verdict, distance, residuals and flux: every field identical
         assert scan == [row]
-        assert row.verdict == consistency_verdict(psi, pair, tol=1e-3)
         dist = np.max(np.abs(spectral_evolve_line(psi, 1.5).samples
                              - oracle_direct_sum(psi, beta, 1.5).samples))
         assert row.directsum_distance == dist
