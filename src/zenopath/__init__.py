@@ -7,7 +7,6 @@ from .arrival import (
     ConvergenceAdvisory,
     MomentumState,
     arrival_moments,
-    converged_density,
     converged_window,
     current_density_at_origin,
     flux_l1_distance,
@@ -15,7 +14,6 @@ from .arrival import (
     kijowski_density,
     momentum_grid,
     smeared_density,
-    superposition_state,
 )
 from .halfline import (
     NEUMANN,
@@ -24,14 +22,11 @@ from .halfline import (
     LinePdxParts,
     SpatialGrid,
     WaveFunction,
-    build_halfline_hamiltonian,
-    free_kernel,
     gaussian_packet,
     grid_zeno_product,
     halfline_eigensystem,
     halfline_norm,
     line_pdx_ladder,
-    phq_nonzero_check,
     production_route,
     restricted_propagate,
     spectral_evolve_line,

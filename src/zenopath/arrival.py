@@ -19,15 +19,17 @@ realises the parity map p → -p exactly: the grid is built as its positive
 half and that half's mirror.  Since e^{-ip²t/2mħ} is even in p, every
 phase sum runs over the distinct values of |p|, with the weights of p and
 -p added first; on such a grid that halves the phases and the matrix
-products.  Time windows for normalization and moments are symmetric
-windows t_center + dt·k, |k| ≤ K, on one time lattice, widened by 1.6 per
-round until the captured mass changes by less than 1e-4; each round
-evaluates only the samples it adds, and every round of a window shares one
-table of step phases.  The samples an edge adds come from one stacked
-product over all their blocks, chunked under a fixed number of entries so
-memory stays bounded.  A window still moving after 12 rounds raises
-ConvergenceAdvisory rather than returning a silently truncated
-distribution.
+products.  `kijowski_density` and `current_density_at_origin` take a
+given time grid.  `converged_window`, the one entry point for a window of
+normalization and moments, returns its distribution and its flux from the
+same phase sums.  Its windows are symmetric, t_center + dt·k, |k| ≤ K, on
+one time lattice, widened by 1.6 per round until the captured mass
+changes by less than 1e-4; each round evaluates only the samples it adds,
+and every round of a window shares one table of step phases.  The samples
+an edge adds come from one stacked product over all their blocks, chunked
+under a fixed number of entries so memory stays bounded.  A window still
+moving after 12 rounds raises ConvergenceAdvisory rather than returning a
+silently truncated distribution.
 
 Arrival at a general point x_a enters through the translation phase
 e^{ip·x_a/ħ} applied to ψ(p) before the x = 0 formulas.
@@ -123,16 +125,6 @@ class MomentumState:
     def dp(self) -> float:
         return float(self.p[1] - self.p[0])
 
-    def is_symmetric(self) -> bool:
-        """Grid maps onto itself under p → -p (node order reversed)."""
-        return bool(np.max(np.abs(self.p + self.p[::-1])) < 1e-9 * self.dp)
-
-    def parity_flipped(self) -> "MomentumState":
-        """The state ψ(-p); needs a symmetric grid."""
-        if not self.is_symmetric():
-            raise ValueError("parity flip needs a grid symmetric about p = 0")
-        return MomentumState(self.p, self.psi[::-1].copy())
-
     def mean_momentum(self) -> float:
         return float(np.sum(self.p * np.abs(self.psi) ** 2) * self.dp)
 
@@ -157,21 +149,6 @@ def gaussian_momentum_state(p: np.ndarray, p0: float, x0: float,
     return MomentumState(p, psi)
 
 
-def superposition_state(p: np.ndarray, components) -> MomentumState:
-    """Normalized Σ c·exp(-(p-p₀)²/4σ_p² - ipx₀/ħ) over (c, p₀, x₀, σ_p)."""
-    psi = np.zeros(np.shape(p), dtype=complex)
-    for c, p0, x0, sigma_p in components:
-        if not (math.isfinite(sigma_p) and sigma_p > 0):
-            raise ValueError(f"sigma_p must be positive and finite, got {sigma_p}")
-        psi += c * np.exp(-((p - p0) ** 2) / (4 * sigma_p ** 2)
-                          - 1j * p * x0)
-    dp = p[1] - p[0]
-    nrm = math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dp)
-    if nrm < 1e-14:
-        raise DomainError("superposition cancels to a (near) null state")
-    return MomentumState(p, psi / nrm)
-
-
 @dataclass(frozen=True)
 class ArrivalDistribution:
     """Arrival density on a uniform time window, split by momentum sign."""
@@ -180,8 +157,6 @@ class ArrivalDistribution:
     density: np.ndarray
     right_part: np.ndarray
     left_part: np.ndarray
-    x_arrival: float = 0.0
-    smear_tau: float = 0.0
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -212,9 +187,6 @@ class ArrivalDistribution:
 
     def captured_mass(self) -> float:
         return float(np.trapezoid(self.density, self.t))
-
-    def peak_time(self) -> float:
-        return float(self.t[int(np.argmax(self.density))])
 
 
 def _unit_phase(phase: np.ndarray) -> np.ndarray:
@@ -311,11 +283,10 @@ def _weights(state: MomentumState, x_arrival: float) -> np.ndarray:
                      scale * (1j * p) * psi], axis=1)
 
 
-def _distribution(t: np.ndarray, amp: np.ndarray,
-                  x_arrival: float) -> ArrivalDistribution:
+def _distribution(t: np.ndarray, amp: np.ndarray) -> ArrivalDistribution:
     right, left = np.abs(amp.T) ** 2
     return ArrivalDistribution(t=t, density=right + left, right_part=right,
-                               left_part=left, x_arrival=x_arrival)
+                               left_part=left)
 
 
 def _current(amp: np.ndarray) -> np.ndarray:
@@ -330,7 +301,7 @@ def kijowski_density(state: MomentumState, t_grid,
     t0, dt = _time_grid(t)
     amp = _phase_apply(state, _weights(state, x_arrival)[:, :2], t0, dt, 0,
                        t.size)
-    return _distribution(t, amp, x_arrival)
+    return _distribution(t, amp)
 
 
 def current_density_at_origin(state: MomentumState, t_grid,
@@ -360,13 +331,6 @@ def arrival_moments(dist: ArrivalDistribution, order: int) -> float:
         return mean
     var = float(np.trapezoid((dist.t - mean) ** 2 * dist.density, dist.t))
     return var / mass
-
-
-def converged_density(state: MomentumState, t_center: float | None = None,
-                      half_width: float = 5.0, dt: float = 0.02,
-                      x_arrival: float = 0.0) -> ArrivalDistribution:
-    """The distribution of `converged_window`, without its current."""
-    return converged_window(state, t_center, half_width, dt, x_arrival)[0]
 
 
 def converged_window(state: MomentumState, t_center: float | None = None,
@@ -428,7 +392,7 @@ def converged_window(state: MomentumState, t_center: float | None = None,
                               amp, _phase_rows(table, t_center, k + 1, grown)])
         k = k_new
         try:
-            dist = _distribution(t, amp[:, :2], x_arrival)
+            dist = _distribution(t, amp[:, :2])
         except CapturedMassExcess as exc:
             raise ConvergenceAdvisory(
                 "window widening drove the captured mass past unity; the "
@@ -472,5 +436,4 @@ def smeared_density(dist: ArrivalDistribution, tau: float) -> ArrivalDistributio
     right = np.convolve(dist.right_part, kernel)[half:half + n]
     left = np.convolve(dist.left_part, kernel)[half:half + n]
     return ArrivalDistribution(t=dist.t, density=right + left,
-                               right_part=right, left_part=left,
-                               x_arrival=dist.x_arrival, smear_tau=tau)
+                               right_part=right, left_part=left)

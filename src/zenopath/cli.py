@@ -52,7 +52,6 @@ from .halfline import (
     HalfLineSystem,
     SpatialGrid,
     WaveFunction,
-    gaussian_packet,
     line_pdx_ladder,
 )
 from .histories import history_sweep, reflection_safe_horizon
@@ -106,7 +105,8 @@ SCHEMAS: dict[str, dict[str, Param]] = {
                         "(default 51,101,201 twostate, 100,200,400 line)"),
         "omega": Param("float", 1.0, "two-level drive frequency"),
         "t": Param("float", math.pi / 2, "evolution time"),
-        "n_zeno": Param("int", 100_000, "slices for finite-n products"),
+        "n_zeno": Param("int", 100_000,
+                        "recorded in the metadata; no ladder reads it"),
         "length": Param("float", 40.0, "half-line extent (line system)"),
         "n_grid": Param("int", 2048, "half-line grid nodes (line system)"),
         "beta": Param("beta", 0.0, "wall parameter, a float or 'neumann'"),
@@ -143,6 +143,32 @@ SCHEMAS: dict[str, dict[str, Param]] = {
                            "detector resolution; 0 disables the smeared column"),
     },
 }
+
+
+# the largest share of a requested Gaussian that its grid may fail to hold
+_PACKET_TAIL = 1e-6
+
+
+def _tail_mass(p0: float, spread: float, cut: float) -> float:
+    """Mass outside ±cut of the normal law of mean p0 and deviation spread
+    (0 < spread ≤ inf), in closed form."""
+    r = math.sqrt(2.0) * spread
+    return 0.5 * (math.erfc((cut - p0) / r) + math.erfc((cut + p0) / r))
+
+
+def _refuse_aliasing(packet: GaussianPacket, grid: SpatialGrid,
+                     p: Mapping[str, object]) -> None:
+    """Refuse a packet whose spectrum, a normal law of deviation 1/(2σ) about
+    p0, puts more than _PACKET_TAIL beyond 0.85·k_Nyquist of the grid, where
+    the line split's guard window starts: sampled, it would alias."""
+    k_cut = 0.85 * math.pi / grid.dx
+    mass = _tail_mass(packet.p0, 1.0 / (2.0 * packet.sigma), k_cut)
+    if mass > _PACKET_TAIL:
+        raise ValueError(f"the packet (p0 = {packet.p0:g}, sigma = "
+                         f"{packet.sigma:g}) puts {mass:.2e} of its spectral "
+                         f"mass beyond 0.85·k_Nyquist = {k_cut:.4g} of the "
+                         f"grid (length = {p['length']:g}, n_grid = "
+                         f"{p['n_grid']}); sampled, it would alias")
 
 
 # pdx-verify's ladder for the line system: its θ-grid needs even interval
@@ -404,6 +430,7 @@ def cmd_pdx_verify(cfg: RunConfig) -> ResultTable:
         system = HalfLineSystem(L=p["length"], n=p["n_grid"], beta=p["beta"])
         g = system.full_grid()
         packet = GaussianPacket(p["x0"], p["p0"], p["sigma"])
+        _refuse_aliasing(packet, g, p)
         raw = np.exp(-((g.x - packet.x0) ** 2) / (4 * packet.sigma ** 2)
                      + 1j * packet.p0 * g.x)
         raw[g.x < 0] = 0.0
@@ -439,7 +466,9 @@ def cmd_histories(cfg: RunConfig) -> ResultTable:
         raise ValueError(f"n_grid must be even and >= 16, got {p['n_grid']}")
     grid = SpatialGrid(-p["length"], p["length"], p["n_grid"])
     parity = None if p["parity"] == "none" else p["parity"]
-    psi = gaussian_packet(grid, p["x0"], p["p0"], p["sigma"], parity=parity)
+    packet = GaussianPacket(p["x0"], p["p0"], p["sigma"], parity)
+    _refuse_aliasing(packet, grid, p)
+    psi = packet.build(grid)
     beta = p["beta"]
     for t in (p["t_min"], p["t_max"]):
         _check_time(t, nonnegative=True)
@@ -479,6 +508,14 @@ def cmd_arrival(cfg: RunConfig) -> ResultTable:
     if p["n_p"] < 8 or p["n_p"] % 2:
         raise ValueError(f"n_p must be even and >= 8, got {p['n_p']}")
     grid = momentum_grid(p["p_max"], p["n_p"])
+    # a p0 or sigma_p that fails its own check is refused where it is built
+    if math.isfinite(p["p0"]) and 0 < p["sigma_p"] < math.inf:
+        mass = _tail_mass(p["p0"], p["sigma_p"], p["p_max"])
+        if mass > _PACKET_TAIL:
+            raise ValueError(f"the packet (p0 = {p['p0']:g}, sigma_p = "
+                             f"{p['sigma_p']:g}) puts {mass:.2e} of its "
+                             "momentum mass outside the grid's ±p_max = "
+                             f"±{p['p_max']:g}")
     state = gaussian_momentum_state(grid, p0=p["p0"], x0=p["x0"],
                                     sigma_p=p["sigma_p"])
     dist, current = converged_window(state, t_center=p["t_center"],

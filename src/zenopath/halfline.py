@@ -166,18 +166,6 @@ def _reflect_full(samples: np.ndarray) -> np.ndarray:
     return samples[idx]
 
 
-def free_kernel(x, y, t: float):
-    """g(x,y,t) = sqrt(m/2πiħt)·exp(im(x-y)²/2ħt), the forward branch
-    sqrt(1/i) = e^{-iπ/4}."""
-    _check_time(t)
-    if t <= 0:
-        raise ValueError(f"free kernel needs t > 0, got {t}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    amp = np.sqrt(1 / (2 * np.pi * t)) * np.exp(-1j * np.pi / 4)
-    return amp * np.exp(1j * (x - y) ** 2 / (2 * t))
-
-
 def free_phase(grid: SpatialGrid, t: float) -> np.ndarray:
     """e^{-iħk²t/2m} on `SpatialGrid.k`, the one free phase on a grid:
     np.exp over modes 0..n//2, mirrored (fftfreq gives k[n-j] = -k[j]
@@ -206,26 +194,6 @@ def spectral_evolve_line(psi: WaveFunction, t: float) -> WaveFunction:
     _check_time(t)
     spec = np.fft.fft(psi.samples) * free_phase(psi.grid, t)
     return WaveFunction(psi.grid, np.fft.ifft(spec))
-
-
-def phq_nonzero_check(psi: WaveFunction) -> float:
-    """‖(1-θ)·(-ħ²/2m)∂²ₓ(θψ)‖ on the grid: the amplitude the kinetic term
-    moves across the cut at x = 0 in one application.
-
-    Grid convention: the inner cut keeps x ≥ 0, the outer keeps x ≤ 0; both
-    contain the cut node, where the distributional weight (δ, δ') of the
-    product lives.  For ψ(0) ≠ 0 the norm grows like dx^{-3/2} under
-    refinement, for odd ψ (ψ(0) = 0, ψ'(0) ≠ 0) like dx^{-1/2}.
-    """
-    j0 = _require_symmetric(psi.grid)
-    dx = psi.grid.dx
-    inner = psi.samples.copy()
-    inner[:j0] = 0.0                       # keep x >= 0
-    d2 = np.zeros_like(inner)
-    d2[1:-1] = (inner[:-2] - 2 * inner[1:-1] + inner[2:]) / dx ** 2
-    out = -0.5 * d2
-    out[j0 + 1:] = 0.0                     # keep x <= 0
-    return float(np.sqrt(np.sum(np.abs(out) ** 2) * dx))
 
 
 @dataclass(frozen=True)
@@ -291,9 +259,10 @@ def halfline_norm(samples: np.ndarray, sys: HalfLineSystem) -> float:
     return float(np.sqrt((0.5 * w[0] + w[1:].sum()) * sys.dx))
 
 
-def build_halfline_hamiltonian(sys: HalfLineSystem):
-    """Discrete H_β: central second differences with the Robin ghost point
-    eliminated, half-cell weight at the wall node absorbed symmetrically.
+def _halfline_tridiag(sys: HalfLineSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the discrete H_β: central second
+    differences with the Robin ghost point eliminated, half-cell weight at
+    the wall node absorbed symmetrically.
 
     The wall row comes from eliminating the ghost value ψ(-dx) through the
     second-order relation ψ(-dx) = ψ(dx) - 2dx·ψ(0)/β and weighting the wall
@@ -301,17 +270,7 @@ def build_halfline_hamiltonian(sys: HalfLineSystem):
     symmetric matrix whose eigenpairs are those of the weighted problem.
     For β = 0 the wall value is pinned to zero and the matrix acts on the
     n-1 interior nodes only.
-
-    Returns a qcore.Operator (real symmetric tridiagonal entries).
     """
-    from .qcore import Operator
-
-    diag, off = _halfline_tridiag(sys)
-    m = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    return Operator(m)
-
-
-def _halfline_tridiag(sys: HalfLineSystem) -> tuple[np.ndarray, np.ndarray]:
     kappa = 1 / (2 * sys.dx ** 2)
     if sys.is_dirichlet:
         dim = sys.n - 1

@@ -89,9 +89,6 @@ class ConsistencyVerdict:
                    re_d12=dm.d12.real, im_d12=dm.d12.imag,
                    consistent=dm.is_consistent(tol))
 
-    def sum_rule_residual(self) -> float:
-        return abs(self.p_same + self.p_cross + 2 * self.re_d12 - 1.0)
-
 
 def mirror_beta(beta: float | str) -> float | str:
     """Wall parameter of the left half-line in its outward coordinate."""

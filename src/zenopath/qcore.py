@@ -68,23 +68,12 @@ class Operator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @classmethod
-    def identity(cls, dim: int) -> "Operator":
-        return cls(np.eye(dim, dtype=complex))
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
     def norm(self) -> float:
         """Operator (spectral) norm."""
         return float(np.linalg.norm(self.mat, 2))
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         return np.linalg.norm(self.mat - self.mat.conj().T, 2) <= tol
-
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        d = self.mat.conj().T @ self.mat - np.eye(self.dim)
-        return np.linalg.norm(d, 2) <= tol
 
     def is_projector(self, tol: float = 1e-10) -> bool:
         idem = np.linalg.norm(self.mat @ self.mat - self.mat, 2) <= tol
@@ -103,9 +92,6 @@ class Operator:
         return Operator(self.mat * complex(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Operator":
-        return Operator(-self.mat)
 
     def __repr__(self) -> str:
         return f"Operator(dim={self.dim})"
@@ -516,9 +502,6 @@ class TwoStateSystem:
         th = self.omega * t
         c, s = np.cos(th), np.sin(th)
         return Operator(np.array([[c, -1j * s], [-1j * s, c]]))
-
-    def pdot_closed(self) -> Operator:
-        return Operator(self.omega * np.array([[0.0, -1j], [1j, 0.0]]))
 
     def crossing_closed(self, t: float) -> Operator:
         th = self.omega * t

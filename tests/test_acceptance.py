@@ -36,7 +36,7 @@ import numpy as np
 from zenopath.arrival import (
     MomentumState,
     arrival_moments,
-    converged_density,
+    converged_window,
     current_density_at_origin,
     flux_l1_distance,
     gaussian_momentum_state,
@@ -234,7 +234,7 @@ def test_07_history_consistency_by_symmetry_sector():
 def test_08_arrival_distribution_contract():
     start = time.perf_counter()
     state = gaussian_momentum_state(momentum_grid(8.0, 1024), 2.0, -10.0, 0.2)
-    dist = converged_density(state)
+    dist = converged_window(state)[0]
     assert dist.density.min() >= -1e-12
     mass = dist.captured_mass()
     assert abs(mass - 1.0) <= 1e-3
@@ -250,7 +250,7 @@ def test_08_arrival_distribution_contract():
     assert covariance <= 1e-8
 
     quasi = gaussian_momentum_state(momentum_grid(12.0, 1024), 5.0, -10.0, 0.25)
-    dq = converged_density(quasi)
+    dq = converged_window(quasi)[0]
     l1 = flux_l1_distance(dq, current_density_at_origin(quasi, dq.t))
     assert l1 <= 0.05
     report("arrival distribution",

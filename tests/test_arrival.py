@@ -26,7 +26,6 @@ from zenopath.arrival import (
     ConvergenceAdvisory,
     MomentumState,
     arrival_moments,
-    converged_density,
     converged_window,
     current_density_at_origin,
     flux_l1_distance,
@@ -34,7 +33,6 @@ from zenopath.arrival import (
     kijowski_density,
     momentum_grid,
     smeared_density,
-    superposition_state,
 )
 from zenopath import arrival
 from zenopath.arrival import _phase_apply, _phase_rows, _phase_table, _weights
@@ -103,20 +101,6 @@ class TestMomentumState:
         with pytest.raises(ValueError):
             st.psi[0] = 1.0
 
-    def test_parity_flip_round_trip(self):
-        st = arrival_packet()
-        assert st.is_symmetric()
-        back = st.parity_flipped().parity_flipped()
-        assert np.array_equal(back.psi, st.psi)
-
-    def test_parity_flip_needs_symmetric_grid(self):
-        p = momentum_grid(4.0, 64) + 0.5
-        psi = np.exp(-((p - 2.0) ** 2))
-        psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * (p[1] - p[0]))
-        st = MomentumState(p, psi)
-        with pytest.raises(ValueError, match="symmetric"):
-            st.parity_flipped()
-
     def test_expectation_values(self):
         st = arrival_packet()
         assert st.mean_momentum() == pytest.approx(2.0, abs=1e-9)
@@ -135,22 +119,6 @@ class TestStateBuilders:
     def test_gaussian_width_validation(self):
         with pytest.raises(ValueError, match="sigma_p"):
             gaussian_momentum_state(P_GRID, 2.0, -10.0, sigma_p=0.0)
-
-    def test_superposition_normalized(self):
-        st = superposition_state(P_GRID, [(1.0, 1.0, -5.0, 0.2),
-                                          (0.5j, 3.0, -15.0, 0.2)])
-        assert np.sum(np.abs(st.psi) ** 2) * st.dp == pytest.approx(1.0, abs=1e-12)
-
-    # NaN passes a sign check, so the width needs its own finiteness check
-    @pytest.mark.parametrize("sigma_p", [0.0, -0.2, np.nan, np.inf])
-    def test_superposition_width_validation(self, sigma_p):
-        with pytest.raises(ValueError, match="sigma_p must be positive and finite"):
-            superposition_state(P_GRID, [(1.0, 2.0, -10.0, sigma_p)])
-
-    def test_superposition_cancellation_rejected(self):
-        with pytest.raises(DomainError, match="null"):
-            superposition_state(P_GRID, [(1.0, 2.0, -10.0, 0.2),
-                                         (-1.0, 2.0, -10.0, 0.2)])
 
 
 class TestArrivalDistributionType:
@@ -189,9 +157,7 @@ class TestArrivalDistributionType:
         d = np.array([0.0, 0.2, 0.0])
         dist = self.build(d, d, np.zeros(3))
         assert dist.dt == pytest.approx(1.0)
-        assert dist.peak_time() == pytest.approx(1.0)
         assert dist.captured_mass() == pytest.approx(0.2)
-        assert dist.smear_tau == 0.0
 
 
 class TestKijowskiDensity:
@@ -202,11 +168,11 @@ class TestKijowskiDensity:
             <= 1e-15
 
     def test_peak_near_classical_arrival(self):
-        dist = converged_density(arrival_packet())
-        assert 4.5 <= dist.peak_time() <= 5.5
+        dist = converged_window(arrival_packet())[0]
+        assert 4.5 <= dist.t[np.argmax(dist.density)] <= 5.5
 
     def test_window_converged_normalization(self):
-        assert converged_density(arrival_packet()).captured_mass() \
+        assert converged_window(arrival_packet())[0].captured_mass() \
             == pytest.approx(1.0, abs=1e-3)
 
     def test_right_mover_has_zero_left_part(self):
@@ -234,22 +200,21 @@ class TestKijowskiDensity:
         t0 = 1.7
         evolved = MomentumState(st.p, st.psi * np.exp(
             -1j * st.p ** 2 * t0 / 2))
-        gap = arrival_moments(converged_density(evolved), 1) \
-            - arrival_moments(converged_density(st), 1)
+        gap = arrival_moments(converged_window(evolved)[0], 1) \
+            - arrival_moments(converged_window(st)[0], 1)
         assert gap == pytest.approx(-t0, abs=1e-6)
 
     def test_parity_swaps_components(self):
         st = arrival_packet()
         t = np.linspace(2.0, 9.0, 181)
         a = kijowski_density(st, t)
-        b = kijowski_density(st.parity_flipped(), t)
+        b = kijowski_density(MomentumState(st.p, st.psi[::-1]), t)
         assert np.max(np.abs(a.right_part - b.left_part)) <= 1e-12
         assert np.max(np.abs(a.left_part - b.right_part)) <= 1e-12
 
     def test_arrival_point_shifts_flight_time(self):
-        dist = converged_density(arrival_packet(), x_arrival=2.0)
+        dist = converged_window(arrival_packet(), x_arrival=2.0)[0]
         assert arrival_moments(dist, 1) == pytest.approx(6.0, abs=0.2)
-        assert dist.x_arrival == 2.0
 
     def test_degenerate_time_grids_rejected(self):
         st = arrival_packet()
@@ -266,7 +231,7 @@ class TestCurrentDensity:
 
     def test_tracks_density_for_quasi_classical_packet(self):
         st = self.quasi_classical()
-        dist = converged_density(st)
+        dist = converged_window(st)[0]
         j = current_density_at_origin(st, dist.t)
         assert flux_l1_distance(dist, j) <= 0.05
         assert np.min(j) >= -1e-3
@@ -301,9 +266,12 @@ class TestCurrentDensity:
     def test_interference_drives_flux_negative(self):
         # two right-moving components timed to overlap at the origin: the
         # flux undershoots zero while the arrival density stays nonnegative
-        st = superposition_state(P_GRID, [
-            (1.0, 1.0, -5.0, 0.18),
-            (0.6 * np.exp(0.5j * np.pi), 3.0, -15.0, 0.18)])
+        psi = sum(c * np.exp(-((P_GRID - p0) ** 2) / (4 * 0.18 ** 2)
+                             - 1j * P_GRID * x0)
+                  for c, p0, x0 in [(1.0, 1.0, -5.0),
+                                    (0.6 * np.exp(0.5j * np.pi), 3.0, -15.0)])
+        dp = P_GRID[1] - P_GRID[0]
+        st = MomentumState(P_GRID, psi / np.sqrt(np.sum(np.abs(psi) ** 2) * dp))
         t = np.linspace(2.0, 8.0, 301)
         j = current_density_at_origin(st, t)
         dist = kijowski_density(st, t)
@@ -313,15 +281,15 @@ class TestCurrentDensity:
 
 class TestArrivalMoments:
     def test_mean_matches_classical_flight_time(self):
-        mean = arrival_moments(converged_density(arrival_packet()), 1)
+        mean = arrival_moments(converged_window(arrival_packet())[0], 1)
         assert mean == pytest.approx(5.0, abs=0.2)
 
     def test_variance_magnitude(self):
-        var = arrival_moments(converged_density(arrival_packet()), 2)
+        var = arrival_moments(converged_window(arrival_packet())[0], 2)
         assert 1.2 ** 2 <= var <= 1.6 ** 2
 
     def test_order_validation(self):
-        dist = converged_density(arrival_packet())
+        dist = converged_window(arrival_packet())[0]
         for order in (0, 3, -1):
             with pytest.raises(ValueError, match="order"):
                 arrival_moments(dist, order)
@@ -337,7 +305,7 @@ class TestArrivalMoments:
         for sp in widths:
             st = gaussian_momentum_state(momentum_grid(6.0, 2048),
                                          p0=2.0, x0=-10.0, sigma_p=sp)
-            dist = converged_density(st, dt=0.05)
+            dist = converged_window(st, dt=0.05)[0]
             stds.append(math.sqrt(arrival_moments(dist, 2)))
         slope = (math.log(stds[0]) - math.log(stds[-1])) \
             / (math.log(widths[-1]) - math.log(widths[0]))
@@ -346,19 +314,19 @@ class TestArrivalMoments:
 
 class TestConvergedDensity:
     def test_auto_window_centers_on_flight_time(self):
-        dist = converged_density(arrival_packet())
+        dist = converged_window(arrival_packet())[0]
         assert dist.t[0] < 5.0 < dist.t[-1]
         assert dist.captured_mass() >= 0.999
 
     def test_explicit_center_respected(self):
-        dist = converged_density(arrival_packet(), t_center=5.0,
-                                 half_width=8.0)
+        dist = converged_window(arrival_packet(), t_center=5.0,
+                                half_width=8.0)[0]
         assert abs(0.5 * (dist.t[0] + dist.t[-1]) - 5.0) <= 0.1
 
     def test_zero_momentum_state_needs_explicit_center(self):
         st = gaussian_momentum_state(P_GRID, p0=0.0, x0=0.0, sigma_p=0.3)
         with pytest.raises(DomainError, match="t_center"):
-            converged_density(st)
+            converged_window(st)
 
     @pytest.mark.parametrize("kwargs", [
         {"dt": 0.0}, {"dt": -0.02}, {"dt": math.nan}, {"dt": math.inf},
@@ -367,7 +335,7 @@ class TestConvergedDensity:
     ])
     def test_bad_window_rejected(self, kwargs):
         with pytest.raises(ValueError, match="must be positive and finite"):
-            converged_density(arrival_packet(), **kwargs)
+            converged_window(arrival_packet(), **kwargs)
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"t_center": math.nan}, "t_center"), ({"t_center": math.inf}, "t_center"),
@@ -377,12 +345,12 @@ class TestConvergedDensity:
     ])
     def test_bad_widening_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
-            converged_density(arrival_packet(), **kwargs)
+            converged_window(arrival_packet(), **kwargs)
 
     def test_exhausted_widening_raises_advisory(self, monkeypatch):
         monkeypatch.setattr(arrival, "_MAX_ROUNDS", 1)
         with pytest.raises(ConvergenceAdvisory, match="converge"):
-            converged_density(arrival_packet())
+            converged_window(arrival_packet())
 
     def test_slow_tail_raises_advisory(self):
         # strong weight near p = 0: the late-arrival tail outruns any
@@ -390,13 +358,13 @@ class TestConvergedDensity:
         st = gaussian_momentum_state(momentum_grid(10.0, 1024),
                                      p0=1.0, x0=-20.0, sigma_p=0.35)
         with pytest.raises(ConvergenceAdvisory, match="p = 0") as info:
-            converged_density(st)
+            converged_window(st)
         assert isinstance(info.value.__cause__, CapturedMassExcess)
 
 
 class TestSmearedDensity:
     def test_variance_addition(self):
-        dist = converged_density(arrival_packet())
+        dist = converged_window(arrival_packet())[0]
         tau = 0.3
         sm = smeared_density(dist, tau)
         assert arrival_moments(sm, 2) - arrival_moments(dist, 2) \
@@ -405,23 +373,22 @@ class TestSmearedDensity:
             == pytest.approx(arrival_moments(dist, 1), abs=1e-6)
 
     def test_mass_and_positivity_survive(self):
-        dist = converged_density(arrival_packet())
+        dist = converged_window(arrival_packet())[0]
         sm = smeared_density(dist, 0.5)
         assert sm.captured_mass() == pytest.approx(dist.captured_mass(),
                                                    abs=1e-6)
         assert np.min(sm.density) >= -1e-12
-        assert sm.smear_tau == 0.5
 
     def test_kernel_longer_than_window(self):
         # 2·⌈6τ/dt⌉+1 = 1801 kernel samples against a 1281-sample window
-        dist = converged_density(arrival_packet())
+        dist = converged_window(arrival_packet())[0]
         sm = smeared_density(dist, 3.0)
         assert sm.t.size == dist.t.size == 1281
         assert np.array_equal(sm.t, dist.t)
         assert np.min(sm.density) >= -1e-12
 
     def test_width_validation(self):
-        dist = converged_density(arrival_packet())
+        dist = converged_window(arrival_packet())[0]
         for tau in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="tau"):
                 smeared_density(dist, tau)
@@ -429,11 +396,11 @@ class TestSmearedDensity:
 
 class TestFluxL1Distance:
     def test_zero_against_itself(self):
-        dist = converged_density(arrival_packet())
+        dist = converged_window(arrival_packet())[0]
         assert flux_l1_distance(dist, dist.density) == 0.0
 
     def test_shape_mismatch_rejected(self):
-        dist = converged_density(arrival_packet())
+        dist = converged_window(arrival_packet())[0]
         with pytest.raises(ValueError, match="match"):
             flux_l1_distance(dist, np.zeros(3))
 

@@ -37,6 +37,8 @@ from zenopath.cli import (
     read_config_file,
 )
 
+from zenopath.halfline import GaussianPacket
+
 from conftest import child_env
 
 
@@ -767,6 +769,49 @@ class TestResolutionAndLayout:
         assert "Warning" not in proc.stderr
         assert not out.exists()
 
+    # a Gaussian its grid cannot hold used to run on aliased samples
+    # (histories), or to fail on a wrong cause: "weight near p = 0",
+    # "unit-normalized" and "not a uniform time grid" (arrival)
+    @pytest.mark.parametrize("argv, named", [
+        (("histories", "--p0", "100", "--t-min", "0.05", "--t-max", "0.2"),
+         ("p0 = 100, sigma = 1", "length = 40, n_grid = 2048")),
+        (("histories", "--p0", "-100", "--t-min", "0.05", "--t-max", "0.2"),
+         ("p0 = -100, sigma = 1", "length = 40, n_grid = 2048")),
+        (("pdx-verify", "--system", "line", "--p0", "200"),
+         ("p0 = 200, sigma = 1", "length = 40, n_grid = 2048")),
+        (("arrival", "--p0", "7.5"), ("p0 = 7.5, sigma_p = 0.2", "p_max = ±8")),
+        (("arrival", "--p-max", "1e-300"),
+         ("p0 = 2, sigma_p = 0.2", "p_max = ±1e-300")),
+        (("arrival", "--sigma-p", "1e3"),
+         ("p0 = 2, sigma_p = 1000", "p_max = ±8")),
+        # 1/(2σ) overflows: the spectrum is wider than any grid
+        (("histories", "--sigma", "1e-310"),
+         ("p0 = 2, sigma = 1e-310", "length = 40, n_grid = 2048")),
+    ], ids=["histories-p0", "histories-negative-p0", "line-p0", "arrival-p0",
+            "arrival-p-max", "arrival-sigma-p", "histories-subnormal-sigma"])
+    def test_packet_the_grid_cannot_hold_refused(self, tmp_path, capsys,
+                                                 monkeypatch, argv, named):
+        from zenopath import cli
+
+        built = []
+        monkeypatch.setattr(GaussianPacket, "build",
+                            lambda *a: built.append(1))
+        monkeypatch.setattr(cli, "gaussian_momentum_state",
+                            lambda *a, **k: built.append(1))
+        out = tmp_path / "x.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert all(name in err for name in named), err
+        assert built == [] and not out.exists()
+
+    def test_packet_near_the_grid_edge_runs(self, tmp_path):
+        # 5 sigma_p inside p_max = 8: 2.9e-7 of the mass is cut
+        from zenopath import cli
+
+        out = tmp_path / "edge.csv"
+        assert cli.main(["arrival", "--p0", "7.0", "--out", str(out)]) == 0
+        assert out.exists()
+
     def test_flag_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("t=1.0\nn_list=2,4\n")
@@ -786,8 +831,9 @@ class TestResolutionAndLayout:
         assert read_table(out)[0]["seed"] == "7"
 
     def test_finite_beta_runs_never_import_scipy(self):
-        # scipy serves only the eigensystem oracle; production, a default
-        # restricted_propagate call included, stays on numpy
+        # scipy serves only the eigensystem oracle; production, every
+        # command and a default restricted_propagate call included, stays
+        # on numpy
         code = (
             "import sys, numpy as np, zenopath, zenopath.cli as cli\n"
             "cli.DISPATCH['histories'](cli.RunConfig('histories', "
@@ -795,6 +841,9 @@ class TestResolutionAndLayout:
             "cli.DISPATCH['pdx-verify'](cli.RunConfig('pdx-verify', "
             "{'system': 'line', 'beta': -0.8, 'n_grid': 512, "
             "'ladder': [40]}))\n"
+            "for command in ('twostate', 'zeno-converge', 'pdx-verify', "
+            "'arrival'):\n"
+            "    cli.DISPATCH[command](cli.RunConfig(command, {}))\n"
             "from zenopath.halfline import HalfLineSystem, WaveFunction, "
             "restricted_propagate\n"
             "s = HalfLineSystem(L=40.0, n=256, beta=0.7)\n"
@@ -863,3 +912,64 @@ def test_cli_imports_no_private_name_of_a_layer():
         == {"arrival", "halfline", "histories"}
     assert ("arrival", "converged_window") in names
     assert sorted(name for _, name in names if name.startswith("_")) == []
+
+
+def _uses(tree, skip=None) -> set[str]:
+    """Identifiers a module uses outside the node `skip`: names, attributes
+    not read off numpy, and identifier strings (getattr-style lookups)."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in ("np", "numpy")):
+                found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            found.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # each name the package exports, and each public method of an exported
+    # class, is used somewhere besides its own definition: in src/, in the
+    # benchmark's perfbench/*.py (parsed, never imported) or in the
+    # acceptance contracts.  Unit tests alone do not keep a name alive;
+    # their oracles live test-side.  A method whose name another class or
+    # perfbench also uses (is_symmetric, trace) counts as used.
+    root = Path(__file__).resolve().parent.parent
+    package = root / "src" / "zenopath"
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.name: node.module for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in package.glob("*.py") if path.name != "__init__.py"}
+    callers = list(modules.values()) + [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in [*sorted((root / "perfbench").glob("*.py")),
+                     root / "tests" / "test_acceptance.py"]]
+    definitions = []
+    for name, module in exported.items():
+        for node in modules[module].body:
+            targets = getattr(node, "targets", [])
+            if getattr(node, "name", None) == name or any(
+                    getattr(t, "id", None) == name for t in targets):
+                definitions.append((name, node))
+            if isinstance(node, ast.ClassDef) and node.name == name:
+                definitions += [(f"{name}.{m.name}", m) for m in node.body
+                                if isinstance(m, ast.FunctionDef)
+                                and not m.name.startswith("_")]
+    assert sorted(n for n, _ in definitions if "." not in n) \
+        == sorted(exported)
+    unused = [name for name, node in definitions
+              if not any(name.rsplit(".", 1)[-1] in _uses(tree, node)
+                         for tree in callers)]
+    assert unused == []

@@ -18,6 +18,9 @@ Oracles used here:
     and the direct cos/sin build as the reference for the cached phase table
   * the direct np.exp(-1j·k²·t/2) over all modes as the byte-for-byte
     reference for `free_phase`
+  * the kinetic term moves amplitude across the cut, PHQ ≠ 0, with the
+    norm growing like dx^(-3/2) (even ψ) and dx^(-1/2) (odd ψ); the check
+    is `oracles.phq_nonzero_check`, outside the library
 """
 
 from dataclasses import replace
@@ -32,8 +35,6 @@ from zenopath.halfline import (
     LinePdxParts,
     SpatialGrid,
     WaveFunction,
-    build_halfline_hamiltonian,
-    free_kernel,
     free_phase,
     gaussian_packet,
     grid_zeno_product,
@@ -41,7 +42,6 @@ from zenopath.halfline import (
     halfline_eigensystem,
     halfline_norm,
     line_pdx_ladder,
-    phq_nonzero_check,
     production_route,
     restricted_propagate,
     spectral_evolve_line,
@@ -53,6 +53,8 @@ from zenopath.halfline import (
     _propagate_half_samples,
 )
 from zenopath.qcore import DomainError, simpson_weights
+
+from oracles import phq_nonzero_check
 
 
 def gauss_exact(x, t, x0, p0, sigma, m=1.0, hbar=1.0):
@@ -172,43 +174,6 @@ class TestGaussianPacket:
         g = SpatialGrid(0.0, 30, 1024)
         with pytest.raises(ValueError):
             gaussian_packet(g, 3.0, 0.0, 1.0, parity="odd")
-
-
-class TestFreeKernel:
-    def test_prefactor_modulus(self):
-        # |g(x,x,t)| = sqrt(m/2πħt)
-        for t in (0.5, 2.0):
-            assert abs(free_kernel(1.3, 1.3, t)) == pytest.approx(
-                np.sqrt(1 / (2 * np.pi * t)), rel=1e-12)
-
-    def test_symmetry_and_t_validation(self):
-        assert free_kernel(0.2, -1.1, 1.7) == pytest.approx(free_kernel(-1.1, 0.2, 1.7))
-        for t in (0.0, -2.0, np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError):
-                free_kernel(0.0, 1.0, t)
-
-    def test_kernel_quadrature_matches_closed_form(self):
-        # evolve a Gaussian by direct kernel quadrature at a few grid nodes
-        g = SpatialGrid(-40, 40, 4096)
-        w = gaussian_packet(g, -4.0, 1.0, 1.8)
-        t = 2.0
-        for j in (2048, 2100, 1900):
-            x = g.x[j]
-            val = np.sum(free_kernel(x, g.x, t) * w.samples) * g.dx
-            assert abs(val - gauss_exact(x, t, -4.0, 1.0, 1.8)) < 1e-6
-
-    def test_semigroup_under_convolution(self):
-        # endpoint taper suppresses the non-decaying Fresnel oscillation the
-        # truncation would otherwise leave at the 1e-4 level
-        g = SpatialGrid(-40, 40, 4096)
-        xi = g.x
-        taper = np.ones(g.n)
-        edge = np.abs(xi) > 0.5 * 40
-        ramp = (np.abs(xi[edge]) - 20.0) / 20.0
-        taper[edge] = 0.5 * (1 + np.cos(np.pi * np.clip(ramp, 0, 1)))
-        for (t1, t2, x, y) in [(1.0, 1.0, 0.3, -0.2), (0.7, 1.4, 1.0, 2.0)]:
-            val = np.sum(free_kernel(x, xi, t1) * free_kernel(xi, y, t2) * taper) * g.dx
-            assert abs(val - free_kernel(x, y, t1 + t2)) < 1e-5
 
 
 class TestFreePhase:
@@ -344,13 +309,6 @@ class TestHalfLineSystem:
 
 
 class TestHamiltonianBuild:
-    def test_symmetric_real(self):
-        for beta in (0.0, 0.7, -1.0, NEUMANN):
-            op = build_halfline_hamiltonian(HalfLineSystem(L=10.0, n=64, beta=beta))
-            assert np.max(np.abs(op.mat - op.mat.T)) < 1e-12
-            assert np.max(np.abs(op.mat.imag)) == 0.0
-            assert op.is_hermitian()
-
     def test_dirichlet_box_levels(self):
         s = HalfLineSystem(L=40.0, n=2048, beta=0.0)
         evals, _ = halfline_eigensystem(s)

@@ -98,6 +98,11 @@ def verdict(psi, beta, t, tol=1e-3):
     return history_sweep(psi, beta, [t], tol)[0].verdict
 
 
+def sum_rule_residual(v):
+    """|p_same + p_cross + 2 Re d12 - ‖ψ‖²| of a verdict, for unit ‖ψ‖."""
+    return abs(v.p_same + v.p_cross + 2 * v.re_d12 - 1.0)
+
+
 class TestHistoryPair:
     """The pair's duration and wall, as `history_sweep` takes them."""
 
@@ -164,9 +169,11 @@ class TestConsistencyVerdict:
         assert v.consistent and v.p_same == 0.0 and v.p_cross == 0.0
 
     def test_sum_rule_residual(self):
-        v = ConsistencyVerdict(p_same=0.6, p_cross=0.5, re_d12=-0.05,
-                               im_d12=0.0, consistent=False)
-        assert v.sum_rule_residual() == pytest.approx(0.0, abs=1e-15)
+        # the verdict carries Re d12 and not Im d12 into the sum rule
+        dm = DecoherenceMatrix(np.array([[0.6, -0.05 + 0.3j],
+                                         [-0.05 - 0.3j, 0.5]]))
+        v = ConsistencyVerdict.from_matrix(dm, tol=1e-3)
+        assert sum_rule_residual(v) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestClassAmplitudes:
@@ -175,7 +182,7 @@ class TestClassAmplitudes:
         rng = np.random.default_rng(11)
         psi = random_parity_state(rng, GRID, -1.0)
         v = history_sweep(psi, 0.7, [1.8])[0].verdict
-        assert v.sum_rule_residual() <= 1e-12
+        assert sum_rule_residual(v) <= 1e-12
         _, dm = oracle_classes(psi, 0.7, 1.8)
         assert v == ConsistencyVerdict.from_matrix(dm, 1e-3)
 
@@ -241,7 +248,7 @@ class TestSumRule:
         betas = [0.0, 0.7, -1.3, NEUMANN]
         for psi, beta in zip(states, betas):
             v = verdict(psi, beta, 1.7)
-            assert v.sum_rule_residual() <= 1e-12, f"beta={beta}"
+            assert sum_rule_residual(v) <= 1e-12, f"beta={beta}"
 
     def test_matrix_is_hermitian_with_unit_total(self):
         psi = gaussian_packet(GRID, -5.0, 2.0, 1.0)
