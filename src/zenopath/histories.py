@@ -30,10 +30,11 @@ transform every half-line evolution reads: the parity walls extend the
 state itself, every other wall the intertwined state g = D_h ψ.  Every
 free phase e^{-ik²t/2} is `halfline.free_phase`.  A sweep over durations
 (`history_sweep`) transforms ψ and the two half lines once; each row then
-reads the phase at t, which evolves ψ and (through `HalfSpectrum.at`)
-both half lines to t, and whose conjugate takes the reassembled direct sum
-back by U(-t).  The sweep is the one way to a verdict, for one duration
-or many.
+reads the phase at t, which evolves ψ and the half lines to t.  The
+verdict is read in the evolved frame (U(t) is unitary on the grid, so
+d(i,j) = ⟨U C_jψ|U C_iψ⟩), and at the parity walls the left half line
+follows from the right one by the reflection x -> -x.  The sweep is the
+one way to a verdict, for one duration or many.
 
 States are position samples (`halfline.WaveFunction`) on a grid symmetric
 about x = 0.  The numerical choices are fixed module constants: the
@@ -58,6 +59,7 @@ from .halfline import (
     WaveFunction,
     free_phase,
     half_spectrum,
+    production_route,
 )
 from .qcore import DecoherenceMatrix, _check_time, _check_tol
 
@@ -121,19 +123,35 @@ def _half_spectra(psi: WaveFunction, right: HalfLineSystem,
     return [half_spectrum(s[n:], right), half_spectrum(h_left, left)]
 
 
-def _direct_sum(halves: list, t: float) -> np.ndarray:
+def _direct_sum(halves: list, evolved: WaveFunction, t: float) -> WaveFunction:
     """[U_r^β(t)(θψ)] ⊕ [U_r^{β,L}(t)((1-θ)ψ)] on the full grid, from
-    `_half_spectra`, each half read at t (`HalfSpectrum.at`).
+    `_half_spectra` and evolved = U(t)ψ.
+
+    At the parity walls on ψ's own grid the two halves' image extensions
+    sum to (1 ± P)ψ (P: node j ↔ 2n - j; + reflecting, - hard wall), and
+    U(t) commutes with P since `free_phase` is mirrored exactly.  So with
+    R the right half's extension evolved, the sum is R on x ≥ 0 and
+    (1 ± P)U(t)ψ - R on x < 0: one transform for both halves.  Otherwise
+    (finite β, a grid symmetric only to rounding) each half is read at t.
 
     The x = -L node has no mirror partner inside the half grid and is set to
-    zero; states in the supported regime carry no weight there.
+    zero (at the reflecting wall (1 + P)ψ counts ψ(-L) twice where the half
+    lines drop it); states in the supported regime carry no weight there.
     """
-    right, left = (half.at(t) for half in halves)
-    n = right.size
+    right, left = halves
+    n = right.sys.n
     out = np.zeros(2 * n, dtype=complex)
-    out[n:] = right
-    out[1:n] = left[1:][::-1]
-    return out
+    if (production_route(right.sys) == "images"
+            and right.sys.full_grid() == evolved.grid):
+        ext = np.fft.ifft(right.spec * free_phase(evolved.grid, t))
+        u = evolved.samples
+        mirrored = u[:n:-1] if right.sys.is_neumann else -u[:n:-1]
+        out[n:] = ext[n:]
+        out[1:n] = u[1:n] + mirrored - ext[1:n]
+    else:
+        out[n:] = right.at(t)
+        out[1:n] = left.at(t)[1:][::-1]
+    return WaveFunction(evolved.grid, out)
 
 
 def _grid_warning(psi: WaveFunction) -> bool:
@@ -145,14 +163,13 @@ def _grid_warning(psi: WaveFunction) -> bool:
     return bool(ref > 1e-12 and abs(hi - lo) > 0.2 * ref)
 
 
-def _class_matrix(psi: WaveFunction, c1: np.ndarray) -> DecoherenceMatrix:
-    """d(i,j) = ⟨C_jψ|C_iψ⟩ in the order (stay, cross), from C₁ψ and
-    C₂ψ = ψ - C₁ψ."""
-    c1 = WaveFunction(psi.grid, c1)
-    c2 = WaveFunction(psi.grid, psi.samples - c1.samples)
-    d12 = c2.inner(c1)                   # ⟨C₂ψ|C₁ψ⟩
-    return DecoherenceMatrix(np.array([[c1.inner(c1), d12],
-                                       [np.conj(d12), c2.inner(c2)]]))
+def _class_matrix(stay: WaveFunction, cross: WaveFunction) -> DecoherenceMatrix:
+    """d(i,j) = ⟨C_jψ|C_iψ⟩ in the order (stay, cross), read in the evolved
+    frame: U(t) is unitary on the grid, so d(i,j) = ⟨U C_jψ|U C_iψ⟩, with
+    stay = U C₁ψ the direct sum and cross = U C₂ψ = U(t)ψ minus it."""
+    d12 = cross.inner(stay)              # ⟨C₂ψ|C₁ψ⟩
+    return DecoherenceMatrix(np.array([[stay.inner(stay), d12],
+                                       [np.conj(d12), cross.inner(cross)]]))
 
 
 def reflection_safe_horizon(psi: WaveFunction) -> float:
@@ -247,11 +264,12 @@ def history_sweep(psi: WaveFunction, beta: float | str, t_list,
     `HalfLineSystem` (a string β must be NEUMANN).  ψ and its two half
     lines (one `half_spectrum` each) are transformed once per sweep, and
     the grid warning, which reads ψ alone, is taken once.  Each row reads one
-    `free_phase` e^{-ik²t/2} of ψ's grid: it evolves ψ to U(t)ψ (distance
-    to the direct sum, wall residuals, flux through x = 0), and its
-    conjugate takes the direct sum back to C₁ψ (verdict).  The half lines
-    read the same cached array through `HalfSpectrum.at` when their grid
-    is exactly ψ's; a grid symmetric only to rounding builds its own.
+    `free_phase` e^{-ik²t/2} of ψ's grid, which the half lines share when
+    their grid is exactly ψ's (a grid symmetric only to rounding builds its
+    own).  It evolves ψ to U(t)ψ (wall residuals, flux through x = 0) and
+    the half lines to the direct sum S (`_direct_sum`: two inverse FFTs per
+    row with U(t)ψ at the parity walls, three at finite β); the verdict and
+    the distance read S and U(t)ψ - S.
     """
     _check_tol(tol)
     times = [float(t) for t in t_list]
@@ -263,19 +281,17 @@ def history_sweep(psi: WaveFunction, beta: float | str, t_list,
     warning = _grid_warning(psi)
     rows = []
     for t in times:
-        phase = free_phase(g, t)
-        summed = _direct_sum(halves, t)
-        c1 = np.fft.ifft(np.fft.fft(summed) * np.conj(phase))
-        evolved = WaveFunction(g, np.fft.ifft(spec * phase))
+        evolved = WaveFunction(g, np.fft.ifft(spec * free_phase(g, t)))
+        stay = _direct_sum(halves, evolved, t)
+        cross = WaveFunction(g, evolved.samples - stay.samples)
         rp, rm = boundary_condition_residuals(evolved, beta)
         rows.append(BetaScanRow(
             beta=beta, t=t,
-            verdict=ConsistencyVerdict.from_matrix(_class_matrix(psi, c1),
+            verdict=ConsistencyVerdict.from_matrix(_class_matrix(stay, cross),
                                                    tol),
             r_plus=rp, r_minus=rm,
             flux0=_flux_through_zero(evolved),
-            directsum_distance=float(np.max(np.abs(evolved.samples
-                                                   - summed))),
+            directsum_distance=float(np.max(np.abs(cross.samples))),
             grid_warning=warning, rejected=False))
     return rows
 

@@ -11,7 +11,12 @@ Oracles used here:
   * semigroup law of the decoupled evolution: composing two direct-sum
     steps equals one step of the summed duration
   * a test-side direct sum and class split, each half line through
-    `restricted_propagate`, as the per-row oracle of `history_sweep`
+    `restricted_propagate` and C₁ψ taken back by U(-t), as the per-row
+    oracle of `history_sweep`, which reads the verdict in the evolved
+    frame and so agrees with it to rounding (ROUNDING)
+  * the crossing-class identity at the hard wall: for a packet launched
+    from x < 0, p_cross = 2P and Re d12 = -P, with P the mass of U(t)ψ in
+    x > 0 read off `spectral_evolve_line`
   * a packet launched across x = 0 interferes strongly, so the pair of
     histories must fail the consistency gate by a wide margin
 """
@@ -47,6 +52,10 @@ from zenopath.histories import (
 from zenopath.qcore import DecoherenceMatrix
 
 GRID = SpatialGrid(-40.0, 40.0, 2048)
+# How far the sweep's probabilities and direct-sum distance may sit from
+# the oracle's: the sweep reads the verdict in the evolved frame and the
+# left half line from parity, the oracle takes C₁ψ back by U(-t).
+ROUNDING = 2e-15
 
 
 def random_parity_state(rng, grid, sign, n_terms=3):
@@ -91,6 +100,13 @@ def oracle_classes(psi, beta, t):
     dm = DecoherenceMatrix(np.array([[c1.inner(c1), d12],
                                      [np.conj(d12), c2.inner(c2)]]))
     return c2, dm
+
+
+def assert_verdict_matches(v, ref):
+    """`==` on the gate, the probabilities within ROUNDING."""
+    assert v.consistent == ref.consistent
+    for name in ("p_same", "p_cross", "re_d12", "im_d12"):
+        assert abs(getattr(v, name) - getattr(ref, name)) <= ROUNDING, name
 
 
 def verdict(psi, beta, t, tol=1e-3):
@@ -184,7 +200,7 @@ class TestClassAmplitudes:
         v = history_sweep(psi, 0.7, [1.8])[0].verdict
         assert sum_rule_residual(v) <= 1e-12
         _, dm = oracle_classes(psi, 0.7, 1.8)
-        assert v == ConsistencyVerdict.from_matrix(dm, 1e-3)
+        assert_verdict_matches(v, ConsistencyVerdict.from_matrix(dm, 1e-3))
 
     def test_needs_symmetric_grid(self):
         g = SpatialGrid(-10.0, 30.0, 1024)
@@ -203,7 +219,7 @@ class TestClassAmplitudes:
 
 
 class TestDirectSumEvolve:
-    """The direct sum the sweep reads (equal to it bitwise, see
+    """The direct sum the sweep reads (equal to it to rounding, see
     TestHistoryRow), built here from `restricted_propagate`."""
 
     def test_zero_time_is_identity_off_the_far_node(self):
@@ -253,8 +269,8 @@ class TestSumRule:
     def test_matrix_is_hermitian_with_unit_total(self):
         psi = gaussian_packet(GRID, -5.0, 2.0, 1.0)
         _, dm = oracle_classes(psi, 0.0, 2.5)
-        assert verdict(psi, 0.0, 2.5) \
-            == ConsistencyVerdict.from_matrix(dm, 1e-3)
+        assert_verdict_matches(verdict(psi, 0.0, 2.5),
+                               ConsistencyVerdict.from_matrix(dm, 1e-3))
         assert dm.is_hermitian(1e-12)
         assert dm.d11 >= 0.0 and dm.d22 >= 0.0
         assert dm.total() == pytest.approx(1.0, abs=1e-12)
@@ -325,6 +341,39 @@ class TestParityTheorems:
         assert abs(v.im_d12) > 1e-3
 
 
+class TestCrossingClassIdentity:
+    """At the hard wall a packet launched from x < 0 stays on the left half
+    line, whose evolution is the image pair U(t)ψ - PU(t)ψ on x < 0 (P the
+    reflection x -> -x).  So U(t)C₂ψ is U(t)ψ on x > 0 and its mirror on
+    x < 0: p_cross = 2P and Re d12 = -P to the overlap of the packet with
+    its mirror image, with P the mass of U(t)ψ in x > 0.  P is read here
+    from `spectral_evolve_line` alone, sharing none of the sweep's
+    arithmetic."""
+
+    GRID = SpatialGrid(-40.0, 40.0, 4096)
+    TIMES = np.linspace(0.5, 6.0, 12)
+
+    def crossed_mass(self, psi, t):
+        """Mass of U(t)ψ in x > 0, with half weight at the x = 0 node."""
+        n = self.GRID.n // 2
+        w = np.abs(spectral_evolve_line(psi, t).samples) ** 2
+        return float((0.5 * w[n] + w[n + 1:].sum()) * self.GRID.dx)
+
+    def test_hard_wall_crossing_is_twice_the_crossed_mass(self):
+        psi = gaussian_packet(self.GRID, -5.0, 2.0, 1.0)
+        rows = history_sweep(psi, 0.0, self.TIMES)
+        for row in rows:
+            mass = self.crossed_mass(psi, row.t)
+            v = row.verdict
+            assert abs(v.p_cross - 2 * mass) <= 1e-4, f"t={row.t}"
+            assert abs(v.re_d12 + mass) <= 1e-4, f"t={row.t}"
+            if mass > 1e-2:
+                assert not v.consistent, f"t={row.t}"
+        # the crossing class outweighs the state once most of it crossed:
+        # d(2,2) is no probability when the pair is inconsistent
+        assert rows[-1].verdict.p_cross > 1.0
+
+
 class TestReflectionSafeHorizon:
     def test_faster_packet_has_shorter_horizon(self):
         slow = reflection_safe_horizon(gaussian_packet(GRID, 0.0, 0.0, 1.0))
@@ -359,36 +408,76 @@ def oracle_row(psi, beta, t, tol=1e-3):
         rejected=False)
 
 
+def assert_row_matches(row, ref):
+    """`==` on every field U(t)ψ alone fixes and on the verdict's gate;
+    the probabilities and the direct-sum distance within ROUNDING."""
+    exact = ("beta", "t", "r_plus", "r_minus", "flux0", "grid_warning",
+             "rejected")
+    assert ([getattr(row, name) for name in exact]
+            == [getattr(ref, name) for name in exact])
+    assert_verdict_matches(row.verdict, ref.verdict)
+    assert abs(row.directsum_distance - ref.directsum_distance) <= ROUNDING
+
+
+def count_transforms(monkeypatch) -> dict:
+    """Count every numpy `fft` and `ifft` call from here on."""
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        real = getattr(np.fft, name)
+
+        def wrapper(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, wrapper)
+    return calls
+
+
 class TestHistoryRow:
     def test_cli_sweep_runs_one_direct_sum_per_row(self, monkeypatch):
         from zenopath import cli, halfline, histories
-        calls = {"half_spectrum": [], "_to_dirichlet": [], "_direct_sum": []}
+        calls = {"half_spectrum": 0, "_to_dirichlet": 0}
 
         def counted(module, name):
             real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name].append(args[1] if name == "_direct_sum" else 1)
+                calls[name] += 1
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
         counted(histories, "half_spectrum")
         counted(halfline, "_to_dirichlet")
-        counted(histories, "_direct_sum")
-        for beta, n_t in ((0.0, 3), (0.0, 5), (0.7, 3), (0.7, 5)):
-            for seen in calls.values():
-                seen.clear()
+        transforms = count_transforms(monkeypatch)
+        per_sweep = []
+        real_sweep = cli.history_sweep
+
+        def sweep(*args, **kwargs):
+            before = dict(transforms)
+            rows = real_sweep(*args, **kwargs)
+            per_sweep.append({name: transforms[name] - before[name]
+                              for name in transforms})
+            return rows
+        monkeypatch.setattr(cli, "history_sweep", sweep)
+        for beta, n_t in ((0.0, 3), (NEUMANN, 5), (0.7, 3), (-1.3, 5)):
+            for name in calls:
+                calls[name] = 0
+            per_sweep.clear()
             table = cli.cmd_histories(cli.RunConfig(
                 "histories", {"n_t": n_t, "beta": beta}))
             p = table.metadata
             t_values = list(np.linspace(float(p["t_min"]), float(p["t_max"]),
                                         n_t))
             assert [row[0] for row in table.rows] == t_values
-            # one direct sum per row, in t order; one half spectrum (and, at
-            # finite β, one D_h) per half line per sweep, whatever n_t is
-            assert calls["_direct_sum"] == t_values
-            assert len(calls["half_spectrum"]) == 2
-            assert len(calls["_to_dirichlet"]) == (0 if beta == 0.0 else 2)
+            # ψ and each half line are transformed once per sweep; a row
+            # runs U(t)ψ and the right half's extension at the parity
+            # walls, and each half line at t besides U(t)ψ at finite β
+            parity_wall = beta == 0.0 or beta == NEUMANN
+            assert per_sweep == [{"fft": 3,
+                                  "ifft": (2 if parity_wall else 3) * n_t}]
+            # one half spectrum (and, at finite β, one D_h) per half line
+            # per sweep, whatever n_t is
+            assert calls["half_spectrum"] == 2
+            assert calls["_to_dirichlet"] == (0 if parity_wall else 2)
 
     @pytest.mark.parametrize("parity", [None, "odd", "even"])
     @pytest.mark.parametrize("beta", [0.0, NEUMANN, 0.7, -1.3])
@@ -398,21 +487,9 @@ class TestHistoryRow:
         psi = gaussian_packet(grid, x0, p0, 1.0, parity=parity)
         times = np.linspace(0.0, 3.0, 4)
         rows = history_sweep(psi, beta, times)
-        assert rows == [oracle_row(psi, beta, float(t)) for t in times]
-
-    @pytest.mark.parametrize("n", [2048, 4096])
-    def test_conjugate_phase_is_the_reverse_phase(self, n):
-        # C₁ψ takes U(-t) from the conjugate of the row's forward phase
-        k2 = SpatialGrid(-40.0, 40.0, n).k ** 2
-        for t in np.linspace(0.0, 10.0, 201):
-            back = np.conj(np.exp(-1j * k2 * t / 2))
-            direct = np.exp(-1j * k2 * -t / 2)
-            assert np.array_equal(back, direct)
-            # bitwise wherever the imaginary part is nonzero; an exact zero
-            # (k = 0, and every k at t = 0) differs only in its sign
-            live = direct.imag != 0
-            assert back[live].tobytes() == direct[live].tobytes()
-            assert live.sum() == (0 if t == 0 else n - 1)
+        assert len(rows) == len(times)
+        for row, t in zip(rows, times):
+            assert_row_matches(row, oracle_row(psi, beta, float(t)))
 
     @pytest.mark.parametrize("beta", [0.0, NEUMANN, 0.7, -1.3])
     def test_one_free_phase_per_row(self, beta):
@@ -425,18 +502,23 @@ class TestHistoryRow:
         free_phase.cache_clear()
 
     @pytest.mark.parametrize("beta", [0.0, NEUMANN, 0.7, -1.3])
-    def test_rounding_symmetric_grid_keeps_per_half_phases(self, beta):
+    def test_rounding_symmetric_grid_keeps_per_half_phases(self, monkeypatch,
+                                                           beta):
         grid = SpatialGrid(-40.0 - 4e-12, 40.0, 1024)
         assert grid.is_symmetric()
         assert not np.array_equal(SpatialGrid(-40.0, 40.0, 1024).k, grid.k)
         psi = gaussian_packet(grid, -5.0, 2.0, 1.0)
         times = [0.0, 1.25, 2.5]
         free_phase.cache_clear()
+        transforms = count_transforms(monkeypatch)
         rows = history_sweep(psi, beta, times)
-        # ψ's grid and the half lines' grid each build their own phase
+        # ψ's grid and the half lines' grid each build their own phase, and
+        # every wall reads both half lines at t: no parity shortcut
         assert free_phase.cache_info().misses == 2 * len(times)
+        assert transforms == {"fft": 3, "ifft": 3 * len(times)}
         free_phase.cache_clear()
-        assert rows == [oracle_row(psi, beta, t) for t in times]
+        for row, t in zip(rows, times):
+            assert_row_matches(row, oracle_row(psi, beta, t))
 
     @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
     def test_bad_tol_refused_before_any_work(self, monkeypatch, tol):
@@ -467,7 +549,7 @@ class TestHistoryRow:
         assert scan == [row]
         dist = np.max(np.abs(spectral_evolve_line(psi, 1.5).samples
                              - oracle_direct_sum(psi, beta, 1.5).samples))
-        assert row.directsum_distance == dist
+        assert abs(row.directsum_distance - dist) <= ROUNDING
 
 
 class TestBetaConditionScan:
