@@ -55,7 +55,6 @@ from .qcore import (
     evolve,
     pdot,
     pdx_assemble,
-    restricted_limit,
     zeno_limit_richardson,
     zeno_product,
 )

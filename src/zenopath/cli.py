@@ -56,14 +56,13 @@ from .halfline import (
 )
 from .histories import history_sweep, reflection_safe_horizon
 from .qcore import (
-    DecoherenceMatrix,
     DomainError,
     TwoStateSystem,
     ZenoSchedule,
     _check_time,
+    decoherence_functional,
     evolve,
     pdx_assemble,
-    restricted_limit,
     zeno_limit_richardson,
     zeno_product,
 )
@@ -326,8 +325,9 @@ def cmd_twostate(cfg: RunConfig) -> ResultTable:
 
     One row per scalar: the full propagator u, the boundary piece b, the
     crossing term x, the finite-n and extrapolated restricted propagators
-    r/rr, the decoherence entries, and the split-identity residual, each
-    against its closed form.
+    r/rr, the decoherence entries of the initially monitored state at the
+    Zeno limit (`decoherence_functional` with n_zeno=None), and the
+    split-identity residual, each against its closed form.
     """
     p = cfg.params
     sys_ = TwoStateSystem(p["omega"])
@@ -348,10 +348,7 @@ def cmd_twostate(cfg: RunConfig) -> ResultTable:
     rows += _entry_rows("r", pdx.restricted.mat, proj_down.mat)
     rows += _entry_rows("rr", rich.mat, proj_down.mat)
 
-    # decoherence entries through the generator-form restricted propagator
-    u_r = restricted_limit(ham, proj_down, t)
-    dm = DecoherenceMatrix.from_class_operator(u.mat.conj().T @ u_r.mat,
-                                               proj_down)
+    dm = decoherence_functional(ham, proj_down, proj_down, t, n_zeno=None)
     d11_c, d22_c, d12_c = sys_.decoherence_closed(t)
     rows.append(_scalar_row("d11", dm.d[0, 0], d11_c))
     rows.append(_scalar_row("d22", dm.d[1, 1], d22_c))
@@ -419,8 +416,8 @@ def cmd_pdx_verify(cfg: RunConfig) -> ResultTable:
         u = evolve(ham, p["t"])
 
         def resid(nq: int) -> float:
-            terms = pdx_assemble(ham, proj_up, p["t"], n_zeno=p["n_zeno"],
-                                 n_quad=nq, ur="limit")
+            terms = pdx_assemble(ham, proj_up, p["t"], n_zeno=None,
+                                 n_quad=nq)
             return float((terms.total + (-1.0) * u).norm())
 
         values = [resid(nq) for nq in ladder]

@@ -12,9 +12,9 @@ interleaved evolution and projection,
 
     U_r(t) = lim_{n→∞} U(nδt) Q(nδt) Q((n-1)δt) ... Q(δt) Q,   δt = t/n,
 
-with Q(s) = U†(s) Q U(s).  The limit is never taken symbolically: callers pick
-a finite n, and the generator form Q exp(-i QHQ t/ħ) Q is available separately
-for cross-checks.  Natural units: ħ = 1 throughout.
+with Q(s) = U†(s) Q U(s).  Callers pick a finite n, or n_zeno=None for the
+limit itself, evaluated in the generator form Q exp(-i QHQ t/ħ) Q.  Natural
+units: ħ = 1 throughout.
 
 All functions are pure and safe to call concurrently.
 """
@@ -157,12 +157,6 @@ class DecoherenceMatrix:
     def d12(self) -> complex:
         return complex(self.d[0, 1])
 
-    def total(self) -> complex:
-        return complex(self.d.sum())
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return bool(np.abs(self.d - self.d.conj().T).max() <= tol)
-
     def is_consistent(self, rel_tol: float = 1e-6) -> bool:
         """Interference is negligible against the branch probabilities."""
         _check_tol(rel_tol)
@@ -289,18 +283,6 @@ def zeno_product(H, Q, schedule: ZenoSchedule) -> Operator:
     return Operator(_zeno_power(u_of, q, schedule.dt, schedule.n))
 
 
-def restricted_limit(H, Q, t: float) -> Operator:
-    """Generator form Q exp(-i QHQ t/ħ) Q of the restricted propagator.
-
-    In finite dimension the Zeno product converges to this at rate O(1/n);
-    it serves as the cross-check for the finite-n route, not as its default.
-    """
-    _check_time(t)
-    h = _hermitian(H)
-    q = _check_projector(Q, "Q")
-    return Operator(_restricted_generator(h, q)(t))
-
-
 def _richardson(u_of: Callable[[float], np.ndarray], q: np.ndarray,
                 t: float, n: int) -> np.ndarray:
     """2·Z(2n) - Z(n) from one propagator and one checked Q."""
@@ -315,34 +297,33 @@ def zeno_limit_richardson(H, Q, t: float, n: int) -> Operator:
     return Operator(_richardson(_propagator(H), q, t, n))
 
 
-def pdx_assemble(H, P, t: float, n_zeno: int, n_quad: int,
-                 ur: str = "zeno") -> PdxTerms:
+def pdx_assemble(H, P, t: float, n_zeno: int | None,
+                 n_quad: int) -> PdxTerms:
     """Assemble boundary, crossing, and restricted terms of the propagator split.
 
     The crossing convolution ∫₀ᵗ ds U(t-s) Ṗ U_r(s) uses composite Simpson on
     the n_quad uniformly spaced nodes s_j = t·j/N, N = n_quad - 1 (n_quad
-    odd).  With ur="zeno", U_r reads one slice lattice of width δ = t/n_zeno:
-    node j takes m_j = ⌊n_zeno·j/N⌋ whole slices (integer arithmetic) and,
-    when the remainder r_j is non-zero, one partial slice of width
-    t·r_j/(n_zeno·N) applied last,
+    odd).  For an int n_zeno, U_r reads one slice lattice of width
+    δ = t/n_zeno: node j takes m_j = ⌊n_zeno·j/N⌋ whole slices (integer
+    arithmetic) and, when the remainder r_j is non-zero, one partial slice
+    of width t·r_j/(n_zeno·N) applied last,
 
         U_r(s_j) = Q U(t·r_j/(n_zeno·N)) Q·S^{m_j},   S = U(δ) Q,
 
     so the restricted term U_r(t) = Q·S^{n_zeno} is the n_zeno-slice
     `zeno_product`.  Q·S^{m_j} is carried from node to node by one of the two
-    block powers S^{⌊n_zeno/N⌋} and S^{⌊n_zeno/N⌋+1}.  With ur="limit" the
-    same loop carries the generator block Q exp(-i QHQ t/(Nħ)) Q, one per
-    node.  The sum runs in H's eigenbasis (H = V diag(λ) V†) by Horner,
+    block powers S^{⌊n_zeno/N⌋} and S^{⌊n_zeno/N⌋+1}.  n_zeno=None is the
+    Zeno limit: the same loop carries the generator block
+    Q exp(-i QHQ t/(Nħ)) Q, one per node.  The sum runs in H's eigenbasis
+    (H = V diag(λ) V†) by Horner,
     Y_j = e^{-iλt/(Nħ)} ⊙ Y_{j-1} + w_j·V†Ṗ·U_r(s_j), and crossing = V·Y_N:
     one eigendecomposition of H and about two d×d products per node.
     """
     if n_quad < 3 or n_quad % 2 == 0:
         raise ValueError(f"n_quad must be odd and >= 3, got {n_quad}")
-    if n_zeno < 1:
+    if n_zeno is not None and n_zeno < 1:
         raise ValueError(f"n_zeno must be >= 1, got {n_zeno}")
     _check_time(t, nonnegative=True)
-    if ur not in ("zeno", "limit"):
-        raise ValueError(f"unknown ur mode {ur!r}")
     h = _hermitian(H)
     p = _check_projector(P)
     q = np.eye(p.shape[0]) - p
@@ -350,7 +331,7 @@ def pdx_assemble(H, P, t: float, n_zeno: int, n_quad: int,
     u_of = _eigen_propagator(evals, vecs)
     n_int = n_quad - 1
 
-    if ur == "limit":
+    if n_zeno is None:
         n_slices, blocks = n_int, (_restricted_generator(h, q)(t / n_int),)
     else:
         n_slices = n_zeno
@@ -395,28 +376,34 @@ def _check_density_matrix(rho) -> np.ndarray:
     return r
 
 
-def decoherence_functional(H, Q, rho, t: float, n_zeno: int,
+def decoherence_functional(H, Q, rho, t: float, n_zeno: int | None,
                            richardson: bool = False) -> DecoherenceMatrix:
     """d(i,j) = Tr(C_i ρ C_j†) for the pair "stayed in Q" vs "crossed".
 
-    C₁ = U†(t) U_r(t) with U_r from the n_zeno-slice Zeno product; C₂ = 1 - C₁.
-    The sum Σ_ij d(i,j) = Tr ρ = 1 holds structurally; vanishing Re d(1,2)
-    is the consistency condition that lets the diagonal be read as
-    probabilities.
+    C₁ = U†(t) U_r(t) with U_r from the n_zeno-slice Zeno product, or for
+    n_zeno=None the generator form Q exp(-i QHQ t/ħ) Q of its limit;
+    C₂ = 1 - C₁.  The sum Σ_ij d(i,j) = Tr ρ = 1 holds structurally;
+    vanishing Re d(1,2) is the consistency condition that lets the
+    diagonal be read as probabilities.
 
     richardson=True replaces the plain product with the 1/n extrapolant
     2·Z(2n) - Z(n).  Raw products cannot push the slice error below the
     float drift n·ε, so the extrapolant is the route to limit-accurate
-    entries at large n_zeno.
+    entries at large n_zeno; it has nothing to extrapolate from at None.
     """
     rho_m = _check_density_matrix(rho)
-    schedule = ZenoSchedule(t, n_zeno)
-    u_of = _propagator(H)
+    _check_time(t, nonnegative=True)
+    if n_zeno is None and richardson:
+        raise ValueError("richardson=True needs an int n_zeno, got None")
+    h = _hermitian(H)
+    u_of = _eigen_propagator(*np.linalg.eigh(h))
     q = _check_projector(Q, "Q")
-    if richardson:
+    if n_zeno is None:
+        u_r = _restricted_generator(h, q)(t)
+    elif richardson:
         u_r = _richardson(u_of, q, t, n_zeno)
     else:
-        u_r = _zeno_power(u_of, q, schedule.dt, n_zeno)
+        u_r = _zeno_power(u_of, q, ZenoSchedule(t, n_zeno).dt, n_zeno)
     return DecoherenceMatrix.from_class_operator(u_of(t).conj().T @ u_r, rho_m)
 
 

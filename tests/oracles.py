@@ -1,7 +1,9 @@
-"""Test-side oracles: closed-form claims of the paper that no production
-route computes, kept out of the library and checked by the unit tests."""
+"""Test-side oracles, kept out of the library and read by the unit tests:
+claims of the paper that no production route computes, and independent
+evaluations of quantities that one does."""
 
 import numpy as np
+import scipy.linalg
 
 
 def phq_nonzero_check(psi) -> float:
@@ -25,3 +27,9 @@ def phq_nonzero_check(psi) -> float:
     out = -0.5 * d2
     out[j0 + 1:] = 0.0                     # keep x <= 0
     return float(np.sqrt(np.sum(np.abs(out) ** 2) * dx))
+
+
+def restricted_generator(h, q, t) -> np.ndarray:
+    """Q exp(-i QHQ t/ħ) Q, the Zeno limit of Q [U(t/n) Q]ⁿ, through scipy's
+    Padé exponential rather than the library's eigendecomposition."""
+    return q @ scipy.linalg.expm(-1j * (q @ h @ q) * t) @ q

@@ -94,7 +94,7 @@ def test_01_two_state_crossing_and_boundary_closed_forms():
     ham, proj = sys_.hamiltonian(), sys_.projector_up()
     worst_x = worst_b = 0.0
     for t in (0.3, np.pi / 2, 2.0):
-        pdx = pdx_assemble(ham, proj, t, n_zeno=10, n_quad=201, ur="limit")
+        pdx = pdx_assemble(ham, proj, t, n_zeno=None, n_quad=201)
         x = pdx.crossing.mat
         assert abs(x[0, 1] - (-1j * np.sin(t))) <= 1e-6
         assert abs(x[1, 1] - (np.cos(t) - 1.0)) <= 1e-6

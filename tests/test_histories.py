@@ -271,9 +271,9 @@ class TestSumRule:
         _, dm = oracle_classes(psi, 0.0, 2.5)
         assert_verdict_matches(verdict(psi, 0.0, 2.5),
                                ConsistencyVerdict.from_matrix(dm, 1e-3))
-        assert dm.is_hermitian(1e-12)
+        assert np.abs(dm.d - dm.d.conj().T).max() <= 1e-12
         assert dm.d11 >= 0.0 and dm.d22 >= 0.0
-        assert dm.total() == pytest.approx(1.0, abs=1e-12)
+        assert dm.d.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_stay_probability_is_unit_at_hard_wall(self):
         # U_r ⊕ U_r is an isometry on the split state, so d(1,1) = ‖ψ‖².

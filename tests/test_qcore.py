@@ -23,10 +23,11 @@ from zenopath.qcore import (
     evolve,
     pdot,
     pdx_assemble,
-    restricted_limit,
     zeno_limit_richardson,
     zeno_product,
 )
+
+from oracles import restricted_generator
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -107,17 +108,19 @@ class TestEvolve:
             u = evolve(random_hermitian(rng, dim), float(rng.uniform(0, 10)))
             assert unitary_defect(u.mat) <= 1e-12
 
-    # every entry point takes H through the one hermiticity rule; for
-    # restricted_limit the defect sits outside the QHQ block, which the
-    # symmetrised generator alone would never see
+    # every entry point takes H through the one hermiticity rule; the
+    # defect sits outside the QHQ block, which the symmetrised generator
+    # of the n_zeno=None routes alone would never see
     @pytest.mark.parametrize("call", [
         lambda h, p, q: evolve(h, 1.0),
         lambda h, p, q: pdx_assemble(h, p, 1.0, n_zeno=4, n_quad=3),
-        lambda h, p, q: restricted_limit(h, q, 1.0),
+        lambda h, p, q: pdx_assemble(h, p, 1.0, n_zeno=None, n_quad=3),
         lambda h, p, q: decoherence_functional(h, q, q, 1.0, n_zeno=4),
+        lambda h, p, q: decoherence_functional(h, q, q, 1.0, n_zeno=None),
         lambda h, p, q: conjugate_time_no_go(h, trials=1),
-    ], ids=["evolve", "pdx_assemble", "restricted_limit",
-            "decoherence_functional", "conjugate_time_no_go"])
+    ], ids=["evolve", "pdx_assemble", "pdx_assemble_limit",
+            "decoherence_functional", "decoherence_functional_limit",
+            "conjugate_time_no_go"])
     def test_rejects_non_hermitian(self, call):
         p = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(DomainError, match="not hermitian"):
@@ -126,10 +129,14 @@ class TestEvolve:
     # one time rule: t finite everywhere, and >= 0 where it is a duration
     @pytest.mark.parametrize("call, nonnegative", [
         (lambda h, p, q, t: evolve(h, t), False),
-        (lambda h, p, q, t: restricted_limit(h, q, t), False),
         (lambda h, p, q, t: ZenoSchedule(t, 3), True),
         (lambda h, p, q, t: pdx_assemble(h, p, t, n_zeno=4, n_quad=3), True),
-    ], ids=["evolve", "restricted_limit", "ZenoSchedule", "pdx_assemble"])
+        (lambda h, p, q, t: pdx_assemble(h, p, t, n_zeno=None, n_quad=3),
+         True),
+        (lambda h, p, q, t: decoherence_functional(h, q, q, t, n_zeno=None),
+         True),
+    ], ids=["evolve", "ZenoSchedule", "pdx_assemble", "pdx_assemble_limit",
+            "decoherence_functional_limit"])
     def test_rejects_non_finite_time(self, call, nonnegative):
         sys = TwoStateSystem(omega=1.0)
         args = sys.hamiltonian(), sys.projector_up(), sys.projector_down()
@@ -245,8 +252,8 @@ class TestZenoProduct:
         rng = np.random.default_rng(22)
         h = random_hermitian(rng, 4)
         q = random_projector(rng, 4, 2)
-        lim = restricted_limit(h, q, 1.0)
-        errs = [op_norm(zeno_product(h, q, ZenoSchedule(1.0, n)).mat - lim.mat)
+        lim = restricted_generator(h, q, 1.0)
+        errs = [op_norm(zeno_product(h, q, ZenoSchedule(1.0, n)).mat - lim)
                 for n in (64, 128, 256, 512)]
         for a, b in zip(errs, errs[1:]):
             assert b < 0.75 * a
@@ -257,9 +264,9 @@ class TestZenoProduct:
         rng = np.random.default_rng(23)
         h = random_hermitian(rng, 4)
         q = random_projector(rng, 4, 2)
-        lim = restricted_limit(h, q, 1.0)
-        plain = op_norm(zeno_product(h, q, ZenoSchedule(1.0, 256)).mat - lim.mat)
-        accel = op_norm(zeno_limit_richardson(h, q, 1.0, 256).mat - lim.mat)
+        lim = restricted_generator(h, q, 1.0)
+        plain = op_norm(zeno_product(h, q, ZenoSchedule(1.0, 256)).mat - lim)
+        accel = op_norm(zeno_limit_richardson(h, q, 1.0, 256).mat - lim)
         assert accel < 0.2 * plain
 
 
@@ -298,22 +305,23 @@ class TestPdot:
             pdot(np.eye(2), np.eye(3))
 
 
-def pdx_reference(h, p, t, n_zeno, n_quad, ur="zeno"):
+def pdx_reference(h, p, t, n_zeno, n_quad):
     """Crossing and restricted terms with U_r(s_j) rebuilt at every node.
 
     Node j of N = n_quad - 1 takes m_j = ⌊n_zeno·j/N⌋ whole slices of width
     t/n_zeno and, for a non-zero remainder r_j, one partial slice of width
-    t·r_j/(n_zeno·N) applied last; ur="limit" takes Q exp(-i QHQ s_j) Q.
+    t·r_j/(n_zeno·N) applied last; n_zeno=None takes Q exp(-i QHQ s_j) Q.
     Every exponential is scipy's Padé expm, and the Simpson sum is direct.
     """
     q = np.eye(h.shape[0]) - p
     pd = 1j * (h @ p - p @ h)
     n_int = n_quad - 1
-    step = scipy.linalg.expm(-1j * h * (t / n_zeno)) @ q
+    if n_zeno is not None:
+        step = scipy.linalg.expm(-1j * h * (t / n_zeno)) @ q
 
     def u_r(j):
-        if ur == "limit":
-            return q @ scipy.linalg.expm(-1j * (q @ h @ q) * (t * j / n_int)) @ q
+        if n_zeno is None:
+            return restricted_generator(h, q, t * j / n_int)
         m, rem = divmod(n_zeno * j, n_int)
         out = q @ np.linalg.matrix_power(step, m)
         if rem:
@@ -362,7 +370,7 @@ class TestPdxAssemble:
         h, p = sys.hamiltonian(), sys.projector_up()
         errs, hs = [], []
         for n_quad in (11, 21, 41, 81):
-            terms = pdx_assemble(h, p, t, n_zeno=1, n_quad=n_quad, ur="limit")
+            terms = pdx_assemble(h, p, t, n_zeno=None, n_quad=n_quad)
             errs.append(op_norm(terms.total.mat - sys.unitary(t).mat))
             hs.append(t / (n_quad - 1))
         order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -383,7 +391,7 @@ class TestPdxAssemble:
         h = random_hermitian(rng, 4)
         p = random_projector(rng, 4, 2)
         a = pdx_assemble(h, p, 1.0, n_zeno=200_000, n_quad=101)
-        b = pdx_assemble(h, p, 1.0, n_zeno=1, n_quad=101, ur="limit")
+        b = pdx_assemble(h, p, 1.0, n_zeno=None, n_quad=101)
         assert op_norm(a.crossing.mat - b.crossing.mat) < 1e-4
 
     def test_unitarity_split_on_restricted_subspace(self):
@@ -425,8 +433,8 @@ class TestPdxAssemble:
         rng = np.random.default_rng(44)
         h = random_hermitian(rng, 4)
         p = random_projector(rng, 4, 2)
-        terms = pdx_assemble(h, p, 1.3, n_zeno=1, n_quad=201, ur="limit")
-        crossing, restricted = pdx_reference(h, p, 1.3, 1, 201, ur="limit")
+        terms = pdx_assemble(h, p, 1.3, n_zeno=None, n_quad=201)
+        crossing, restricted = pdx_reference(h, p, 1.3, None, 201)
         assert op_norm(terms.crossing.mat - crossing) < 1e-12
         assert op_norm(terms.restricted.mat - restricted) < 1e-12
 
@@ -442,12 +450,12 @@ class TestPdxAssemble:
                          ZenoSchedule(t, 7))
         assert op_norm(terms.restricted.mat - z.mat) < 1e-12
 
-    @pytest.mark.parametrize("ur", ["zeno", "limit"])
-    def test_zero_time(self, ur):
+    @pytest.mark.parametrize("n_zeno", [100, None])
+    def test_zero_time(self, n_zeno):
         rng = np.random.default_rng(45)
         h = random_hermitian(rng, 4)
         p = random_projector(rng, 4, 2)
-        terms = pdx_assemble(h, p, 0.0, n_zeno=100, n_quad=21, ur=ur)
+        terms = pdx_assemble(h, p, 0.0, n_zeno=n_zeno, n_quad=21)
         assert op_norm(terms.crossing.mat) == 0.0
         assert op_norm(terms.restricted.mat - (np.eye(4) - p)) < 1e-12
 
@@ -476,6 +484,42 @@ class TestDecoherenceFunctional:
             assert abs(d.d11 - d11) < 1e-8
             assert abs(d.d22 - d22) < 1e-8
             assert abs(d.d12.real - d12.real) < 1e-8
+
+    def test_limit_route_matches_closed_forms(self):
+        # QHQ = 0 for the two-state monitor, so the generator form is Q
+        # itself and n_zeno=None is exact up to rounding
+        sys = TwoStateSystem(omega=1.0)
+        for t in np.linspace(0.0, 2 * np.pi, 23):
+            d = decoherence_functional(sys.hamiltonian(), sys.projector_down(),
+                                       np.diag([0.0, 1.0]), t, n_zeno=None)
+            d11, d22, d12 = sys.decoherence_closed(t)
+            assert abs(d.d11 - d11) < 1e-13
+            assert abs(d.d22 - d22) < 1e-13
+            assert abs(d.d12 - d12) < 1e-13
+
+    def test_limit_route_matches_generator_oracle(self):
+        # a generic H, where QHQ ≠ 0 and the generator form is not Q
+        rng = np.random.default_rng(53)
+        h = random_hermitian(rng, 5)
+        q = random_projector(rng, 5, 3)
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        t = 1.3
+        c1 = (scipy.linalg.expm(1j * h * t)
+              @ restricted_generator(h, q, t))
+        ops = (c1, np.eye(5) - c1)
+        ref = np.array([[np.trace(x @ rho @ y.conj().T) for y in ops]
+                        for x in ops])
+        d = decoherence_functional(h, q, rho, t, n_zeno=None)
+        assert np.abs(d.d - ref).max() < 1e-12
+
+    def test_richardson_needs_an_int_n_zeno(self):
+        sys = TwoStateSystem(omega=1.0)
+        with pytest.raises(ValueError, match="richardson"):
+            decoherence_functional(sys.hamiltonian(), sys.projector_down(),
+                                   np.diag([0.0, 1.0]), 1.0, n_zeno=None,
+                                   richardson=True)
 
     def test_strong_inconsistency_at_quarter_period(self):
         sys = TwoStateSystem(omega=1.0)
@@ -506,8 +550,8 @@ class TestDecoherenceFunctional:
             rho /= np.trace(rho).real
             d = decoherence_functional(h, q, rho, float(rng.uniform(0.1, 3.0)),
                                        n_zeno=64)
-            assert abs(d.total() - 1.0) < 1e-9
-            assert d.is_hermitian(1e-10)
+            assert abs(d.d.sum() - 1.0) < 1e-9
+            assert np.abs(d.d - d.d.conj().T).max() <= 1e-10
             assert d.d11 >= -1e-10 and d.d22 >= -1e-10
 
     def test_commuting_monitor_is_consistent(self):
